@@ -93,11 +93,7 @@ void Tracer::Record(TimeNs ts, TraceCategory category, TracePhase phase,
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(count_);
-  const size_t cap = ring_.size();
-  size_t start = (head_ + cap - count_) % cap;
-  for (size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % cap]);
-  }
+  ForEachRetained([&out](const TraceEvent& e) { out.push_back(e); });
   return out;
 }
 

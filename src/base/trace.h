@@ -106,6 +106,17 @@ class Tracer {
   // Events overwritten by ring wraparound.
   uint64_t dropped() const { return recorded_ - count_; }
 
+  // Calls fn(const TraceEvent&) on each retained event, oldest-first, reading
+  // the ring in place (exporters stream from here without copying the buffer).
+  template <typename Fn>
+  void ForEachRetained(Fn&& fn) const {
+    const size_t cap = ring_.size();
+    const size_t start = (head_ + cap - count_) % cap;
+    const size_t tail = count_ < cap - start ? count_ : cap - start;
+    for (size_t i = start; i < start + tail; ++i) fn(ring_[i]);
+    for (size_t i = 0; i < count_ - tail; ++i) fn(ring_[i]);
+  }
+
   // Copies the retained events oldest-first.
   std::vector<TraceEvent> Snapshot() const;
 

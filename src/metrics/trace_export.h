@@ -30,7 +30,10 @@ inline constexpr int kTraceDomainPidBase = 10;  // domain d -> pid 10 + d
 inline constexpr int kTraceEngineTid = 99;      // sim-engine pseudo thread (pid 1)
 inline constexpr int kTraceDomainTid = 63;      // domain-scope pseudo thread
 
-// Writes the tracer's retained events as {"traceEvents":[...]} JSON.
+// Writes the tracer's retained events as {"traceEvents":[...]} JSON. Reads the
+// ring in place (two passes: track discovery, then emission) and streams the
+// text through a ByteWriter; it allocates only a track table, the open-slice
+// stacks and the writer's buffer, never a copy of the ring.
 void WriteChromeTrace(const Tracer& tracer, std::ostream& os);
 
 // Convenience: WriteChromeTrace to `path`. Returns false (and fills *error if given)

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/base/byte_writer.h"
 #include "src/base/check.h"
 #include "src/base/metrics_registry.h"
 #include "src/base/trace.h"
@@ -368,11 +369,22 @@ bool StallAccountant::CheckExhaustive(TimeNs now, std::string* error) const {
 }
 
 void StallAccountant::WriteCsv(std::ostream& os) const {
-  os << "run,ts_ns,domain,vcpu,bucket,cum_ns\n";
+  ByteWriter w(os);
+  w.Put("run,ts_ns,domain,vcpu,bucket,cum_ns\n");
   for (const CsvRow& row : rows_) {
     for (int i = 0; i < kStallBucketCount; ++i) {
-      os << row.run << ',' << row.ts << ',' << row.domain << ',' << row.vcpu
-         << ',' << kBucketNames[i] << ',' << row.buckets[i] << '\n';
+      w.Put(row.run);
+      w.Put(',');
+      w.Int(row.ts);
+      w.Put(',');
+      w.Int(row.domain);
+      w.Put(',');
+      w.Int(row.vcpu);
+      w.Put(',');
+      w.Put(kBucketNames[i]);
+      w.Put(',');
+      w.Int(row.buckets[i]);
+      w.Put('\n');
     }
   }
 }

@@ -1,11 +1,16 @@
-// Unit tests for src/base: time formatting, deterministic RNG, statistics,
-// histograms/CDFs, and table rendering.
+// Unit tests for src/base: time formatting, the buffered export writer,
+// deterministic RNG, statistics, histograms/CDFs, and table rendering.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 
+#include "src/base/byte_writer.h"
 #include "src/base/cost_model.h"
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
@@ -46,6 +51,65 @@ TEST(TimeTest, FormatPicksUnit) {
 
 TEST(TimeTest, NeverIsLargerThanAnyPracticalTime) {
   EXPECT_GT(kTimeNever, Seconds(1'000'000'000));
+}
+
+// --- byte writer ---
+
+TEST(ByteWriterTest, IntsMatchOstream) {
+  std::ostringstream got;
+  std::ostringstream want;
+  {
+    ByteWriter w(got);
+    for (const int64_t v : {int64_t{0}, int64_t{-1}, int64_t{42}, int64_t{-1234567},
+                            std::numeric_limits<int64_t>::max(),
+                            std::numeric_limits<int64_t>::min()}) {
+      w.Int(v);
+      w.Put(',');
+      want << v << ',';
+    }
+  }
+  EXPECT_EQ(got.str(), want.str());
+}
+
+TEST(ByteWriterTest, MicrosMatchPrintfIncludingNegatives) {
+  for (const int64_t ns :
+       {int64_t{0}, int64_t{7}, int64_t{999}, int64_t{1000}, int64_t{1500},
+        int64_t{123456789012}, int64_t{-1}, int64_t{-5}, int64_t{-50},
+        int64_t{-500}, int64_t{-999}, int64_t{-1000}, int64_t{-1500},
+        int64_t{-123456789012}, std::numeric_limits<int64_t>::max(),
+        std::numeric_limits<int64_t>::min()}) {
+    char want[48];
+    std::snprintf(want, sizeof(want), "%lld.%03lld",
+                  static_cast<long long>(ns / 1000),
+                  static_cast<long long>(ns % 1000));
+    std::ostringstream got;
+    {
+      ByteWriter w(got);
+      w.MicrosFromNanos(ns);
+    }
+    EXPECT_EQ(got.str(), want) << ns;
+  }
+}
+
+TEST(ByteWriterTest, ChunksAcrossBufferBoundary) {
+  // Writes straddling the 1 MiB buffer edge, plus one larger than the buffer,
+  // must come out whole and in order.
+  std::ostringstream got;
+  std::string want;
+  const std::string big(ByteWriter::kChunkBytes + 17, 'x');
+  {
+    ByteWriter w(got);
+    for (int i = 0; i < 200000; ++i) {
+      w.Put("ab");
+      w.Int(i);
+      w.Put('\n');
+      want += "ab" + std::to_string(i) + "\n";
+    }
+    w.Put(big);
+    w.MicrosFromNanos(1234);
+    want += big + "1.234";
+  }
+  EXPECT_EQ(got.str(), want);
 }
 
 // --- rng ---

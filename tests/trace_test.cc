@@ -1,5 +1,6 @@
 // Unit tests for the flight recorder core (src/base/trace.h) and the metrics
-// registry (src/base/metrics_registry.h): ring wraparound, category filtering,
+// registry (src/base/metrics_registry.h): ring wraparound (copying and in-place
+// visits agree), category filtering,
 // timestamp rebasing, the disabled no-op guarantee, and gauge freezing.
 
 #include "src/base/metrics_registry.h"
@@ -7,6 +8,7 @@
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +48,29 @@ TEST(TracerTest, RingWraparoundKeepsNewestEvents) {
   // Oldest-first snapshot of the newest 8 events: args 12..19.
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(events[static_cast<size_t>(i)].arg, 12 + i);
+  }
+}
+
+TEST(TracerTest, SnapshotMatchesForEachRetainedAcrossWraparound) {
+  // Record counts that leave the ring part-filled, exactly full, and wrapped
+  // with the write head just past and mid ring.
+  for (const int records : {5, 8, 9, 13}) {
+    Tracer t(8);
+    t.Enable();
+    for (int i = 0; i < records; ++i) {
+      t.Record(i, TraceCategory::kSim, TracePhase::kInstant, "e", -1, -1, -1,
+               "i", i);
+    }
+    std::vector<int64_t> visited;
+    t.ForEachRetained([&](const TraceEvent& e) { visited.push_back(e.arg); });
+    std::vector<int64_t> copied;
+    for (const TraceEvent& e : t.Snapshot()) copied.push_back(e.arg);
+    EXPECT_EQ(visited, copied) << records << " records";
+    ASSERT_EQ(visited.size(), t.size());
+    for (size_t k = 0; k < visited.size(); ++k) {
+      EXPECT_EQ(visited[k], records - static_cast<int>(t.size()) +
+                                static_cast<int>(k));
+    }
   }
 }
 
