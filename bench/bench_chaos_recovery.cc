@@ -83,6 +83,7 @@ Outcome RunPlan(const PlanSpec& p) {
   MachineConfig mc;
   mc.n_pcpus = 4;
   Machine machine(mc);
+  BindBenchTracer(machine);
   Domain& prime = machine.CreateDomain("primary", 1024, 4);
   Domain& rd = machine.CreateDomain("rival", 1024, 4);
   GuestKernel kernel(machine, machine.sim(), prime, GuestConfig{});
@@ -198,6 +199,7 @@ DeliveryOutcome RunDelivery(const DeliverySpec& p, bool hardened) {
   MachineConfig mc;
   mc.n_pcpus = 4;
   Machine machine(mc);
+  BindBenchTracer(machine);
   Domain& prime = machine.CreateDomain("primary", 1024, 4);
   Domain& rd = machine.CreateDomain("rival", 1024, 4);
   GuestConfig gc;

@@ -137,6 +137,14 @@ class BenchTraceScope {
   bool want_stall_ = false;
 };
 
+// A machine built by hand (no Testbed) binds the bench's tracer itself, so
+// --trace records it too.
+inline void BindBenchTracer(Machine& machine) {
+  if (GlobalTracer().enabled()) {
+    machine.sim().observers().trace = &GlobalTracer();
+  }
+}
+
 inline std::vector<uint64_t> BenchSeeds() {
   int n = 1;
   if (const char* env = std::getenv("VSCALE_BENCH_SEEDS")) {

@@ -31,7 +31,8 @@ int main() {
     ExtendabilityTicker ticker(machine);
     ticker.Recompute();
 
-    VscaleChannel channel(machine, machine.cost(), /*dom=*/0);
+    VscaleChannel channel(machine, machine.cost(), /*dom=*/0,
+                          machine.sim().observers());
     constexpr int kReads = 1'000'000;
     for (int i = 0; i < kReads; ++i) {
       (void)channel.Read();

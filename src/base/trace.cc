@@ -2,10 +2,6 @@
 
 namespace vscale {
 
-namespace trace_internal {
-bool g_global_enabled = false;
-}  // namespace trace_internal
-
 const char* ToString(TraceCategory c) {
   switch (c) {
     case TraceCategory::kSim:
@@ -30,17 +26,9 @@ Tracer& GlobalTracer() {
 void Tracer::Enable(uint32_t category_mask) {
   enabled_ = true;
   mask_ = category_mask;
-  if (this == &GlobalTracer()) {
-    trace_internal::g_global_enabled = true;
-  }
 }
 
-void Tracer::Disable() {
-  enabled_ = false;
-  if (this == &GlobalTracer()) {
-    trace_internal::g_global_enabled = false;
-  }
-}
+void Tracer::Disable() { enabled_ = false; }
 
 void Tracer::Clear() {
   head_ = 0;

@@ -6,10 +6,12 @@
 // line up on one timeline.
 //
 // Design constraints:
-//  * Zero overhead when disabled. Call sites go through the VSCALE_TRACE_* macros,
-//    which (a) compile to nothing when the VSCALE_TRACE CMake option is OFF, and
-//    (b) otherwise gate on a single global bool before touching the tracer. Recording
-//    never allocates: event names are string literals and the ring is preallocated.
+//  * Near-zero overhead when off. A tracer records for a simulation only when
+//    bound to its observer seam (Observers::trace, src/sim/observers.h); hook
+//    sites test that pointer before touching the tracer, so an unbound hook is
+//    a pointer read and one branch (the read's cost is spelled out in
+//    observers.h). Recording never allocates: event names are string literals
+//    and the ring is preallocated.
 //  * Bounded memory. The ring overwrites the oldest events once full (`dropped()`
 //    counts the overwritten ones), so tracing a long run keeps the most recent window.
 //  * No behavioural impact. Recording reads simulation state but never mutates it and
@@ -33,11 +35,6 @@
 #include <vector>
 
 #include "src/base/time.h"
-
-// Compiled-in default when built outside CMake; the VSCALE_TRACE option controls it.
-#ifndef VSCALE_TRACE
-#define VSCALE_TRACE 1
-#endif
 
 namespace vscale {
 
@@ -99,6 +96,27 @@ class Tracer {
   void Record(TimeNs ts, TraceCategory category, TracePhase phase, const char* name,
               int domain, int vcpu, int pcpu, const char* arg_name, int64_t arg);
 
+  // The hook spellings, one per phase. The event name is always the third
+  // argument (vslint's trace-docs and trace-pairing rules key on that).
+  void Instant(TimeNs ts, TraceCategory category, const char* name, int domain,
+               int vcpu, int pcpu, const char* arg_name = nullptr, int64_t arg = 0) {
+    Record(ts, category, TracePhase::kInstant, name, domain, vcpu, pcpu, arg_name, arg);
+  }
+  // Opens a slice on the (domain, vcpu) and pcpu tracks; End closes it.
+  void Begin(TimeNs ts, TraceCategory category, const char* name, int domain, int vcpu,
+             int pcpu) {
+    Record(ts, category, TracePhase::kBegin, name, domain, vcpu, pcpu, nullptr, 0);
+  }
+  void End(TimeNs ts, TraceCategory category, const char* name, int domain, int vcpu,
+           int pcpu) {
+    Record(ts, category, TracePhase::kEnd, name, domain, vcpu, pcpu, nullptr, 0);
+  }
+  // One sample of the per-domain counter track `name`.
+  void Counter(TimeNs ts, TraceCategory category, const char* name, int domain,
+               int64_t value) {
+    Record(ts, category, TracePhase::kCounter, name, domain, -1, -1, "value", value);
+  }
+
   // Number of events currently retained (<= capacity).
   size_t size() const { return count_; }
   // Total recorded since the last Clear(), including overwritten ones.
@@ -121,7 +139,7 @@ class Tracer {
   std::vector<TraceEvent> Snapshot() const;
 
   // Human-readable display names for domain tracks in exports ("primary",
-  // "desktop0", ...). Recorded by Machine::CreateDomain when tracing is enabled.
+  // "desktop0", ...). Recorded by Machine::CreateDomain when a tracer is bound.
   void SetDomainName(int domain, const std::string& name);
   const std::map<int, std::string>& domain_names() const { return domain_names_; }
 
@@ -137,55 +155,10 @@ class Tracer {
   std::map<int, std::string> domain_names_;
 };
 
-// The process-wide tracer every VSCALE_TRACE_* macro records into. The simulation is
+// The process-wide tracer harnesses bind to the simulations they trace
+// (Testbed binds it when it is enabled at construction). The simulation is
 // single-threaded, so no synchronization is needed.
 Tracer& GlobalTracer();
-
-namespace trace_internal {
-// Fast gate read by the macros before touching GlobalTracer(). Kept in sync by
-// Tracer::Enable/Disable on the global instance only.
-extern bool g_global_enabled;
-}  // namespace trace_internal
-
-#if VSCALE_TRACE
-
-// True when the global tracer is currently recording. Use to guard argument
-// computations that only exist for tracing.
-#define VSCALE_TRACE_ACTIVE() (::vscale::trace_internal::g_global_enabled)
-
-#define VSCALE_TRACE_EVENT(ts_, cat_, phase_, name_, dom_, vcpu_, pcpu_, argname_,  \
-                           argval_)                                                 \
-  do {                                                                              \
-    if (::vscale::trace_internal::g_global_enabled) {                               \
-      ::vscale::GlobalTracer().Record((ts_), (cat_), (phase_), (name_), (dom_),     \
-                                      (vcpu_), (pcpu_), (argname_),                 \
-                                      static_cast<int64_t>(argval_));               \
-    }                                                                               \
-  } while (0)
-
-#else  // !VSCALE_TRACE: hooks compile to nothing; arguments are never evaluated.
-
-#define VSCALE_TRACE_ACTIVE() (false)
-#define VSCALE_TRACE_EVENT(...) ((void)0)
-
-#endif  // VSCALE_TRACE
-
-#define VSCALE_TRACE_INSTANT(ts_, cat_, name_, dom_, vcpu_, pcpu_)                 \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_, vcpu_, \
-                     pcpu_, nullptr, 0)
-#define VSCALE_TRACE_INSTANT_ARG(ts_, cat_, name_, dom_, vcpu_, pcpu_, argname_,   \
-                                 argval_)                                          \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kInstant, name_, dom_, vcpu_, \
-                     pcpu_, argname_, argval_)
-#define VSCALE_TRACE_BEGIN(ts_, cat_, name_, dom_, vcpu_, pcpu_)                   \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kBegin, name_, dom_, vcpu_,  \
-                     pcpu_, nullptr, 0)
-#define VSCALE_TRACE_END(ts_, cat_, name_, dom_, vcpu_, pcpu_)                     \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kEnd, name_, dom_, vcpu_,    \
-                     pcpu_, nullptr, 0)
-#define VSCALE_TRACE_COUNTER(ts_, cat_, name_, dom_, value_)                       \
-  VSCALE_TRACE_EVENT(ts_, cat_, ::vscale::TracePhase::kCounter, name_, dom_, -1,   \
-                     -1, "value", value_)
 
 }  // namespace vscale
 

@@ -46,9 +46,13 @@ int64_t FaultInjector::Magnitude(FaultKind kind) const {
 void FaultInjector::Begin(const FaultEvent& ev) {
   ++active_[static_cast<int>(ev.kind)];
   ++events_started_;
-  VS_COVER(OnFaultBegin(static_cast<int>(ev.kind)));
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kVscale, "fault_begin", -1, -1,
-                           -1, ToString(ev.kind), ev.magnitude);
+  if (CoverageMap* cov = sim_.observers().cover) {
+    cov->OnFaultBegin(static_cast<int>(ev.kind));
+  }
+  if (Tracer* tr = sim_.observers().trace) {
+    tr->Instant(sim_.Now(), TraceCategory::kVscale, "fault_begin", -1, -1, -1,
+                ToString(ev.kind), ev.magnitude);
+  }
   if (on_transition) {
     on_transition(ev, /*began=*/true);
   }
@@ -57,8 +61,10 @@ void FaultInjector::Begin(const FaultEvent& ev) {
 void FaultInjector::End(const FaultEvent& ev) {
   --active_[static_cast<int>(ev.kind)];
   ++events_ended_;
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kVscale, "fault_end", -1, -1,
-                           -1, ToString(ev.kind), ev.magnitude);
+  if (Tracer* tr = sim_.observers().trace) {
+    tr->Instant(sim_.Now(), TraceCategory::kVscale, "fault_end", -1, -1, -1,
+                ToString(ev.kind), ev.magnitude);
+  }
   if (on_transition) {
     on_transition(ev, /*began=*/false);
   }

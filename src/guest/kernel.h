@@ -127,6 +127,9 @@ class GuestKernel : public GuestOs {
   int online_cpus() const;
   TimeNs NowNs() const { return hv_.Now(); }
   Simulator& sim() { return sim_; }
+  // The simulation's observer seam, for this kernel's hooks and the vScale
+  // objects built on it.
+  const Observers& observers() const { return obs_; }
 
   // --- threads ---
   // Spawns a thread; placement follows fork balancing unless `pinned_cpu` >= 0.
@@ -297,6 +300,7 @@ class GuestKernel : public GuestOs {
 
   HvServices& hv_;
   Simulator& sim_;
+  const Observers& obs_;
   Domain& domain_;
   GuestConfig config_;
   const CostModel& cost_;

@@ -23,12 +23,10 @@ GuestThread& GuestKernel::Spawn(const std::string& name, ThreadBody* body,
   }
   if (body == nullptr) {
     // Boot-time kthreads with no workload stay blocked (quiescent servants).
-    // vslint: allow(stall-hook, spawn-time init before any vCPU runs; stall attribution starts at the hooked hv dispatch sites)
     t.state = ThreadState::kBlocked;
     return t;
   }
   ++live_threads_;
-  // vslint: allow(stall-hook, spawn-time init before any vCPU runs; stall attribution starts at the hooked hv dispatch sites)
   t.state = ThreadState::kBlocked;
   t.op_active = false;
   // Fork balancing: first op is fetched when the thread first runs.
@@ -43,7 +41,6 @@ GuestThread& GuestKernel::Spawn(const std::string& name, ThreadBody* body,
 
 void GuestKernel::EnqueueThread(GuestCpu& c, GuestThread& t) {
   assert(t.state != ThreadState::kRunning);
-  // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t.state = ThreadState::kRunnable;
   t.cpu = c.id;
   t.enqueued_at = hv_.Now();
@@ -86,7 +83,6 @@ void GuestKernel::DispatchNext(GuestCpu& c) {
   if (t == nullptr) {
     return;
   }
-  // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t->state = ThreadState::kRunning;
   t->cpu = c.id;
   t->wait_time += hv_.Now() - t->enqueued_at;
@@ -102,7 +98,6 @@ void GuestKernel::PutCurrent(GuestCpu& c, ThreadState new_state) {
   GuestThread* t = c.current;
   assert(t != nullptr);
   c.current = nullptr;
-  // vslint: allow(stall-hook, guest thread-level transition; per-vCPU stall buckets are charged at the hooked hv RunOn/Desched/Wake sites)
   t->state = new_state;
   if (new_state == ThreadState::kRunnable) {
     EnqueueThread(c, *t);
@@ -148,12 +143,16 @@ int GuestKernel::SelectTaskRq(const GuestThread& t) {
 
 void GuestKernel::SendReschedIpi(int from_cpu, int to_cpu, EvtchnPort port) {
   (void)from_cpu;  // only the trace hook reads it
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "ipi_send",
-                           domain_.id(), from_cpu, -1, "to", to_cpu);
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(hv_.Now(), TraceCategory::kGuest, "ipi_send", domain_.id(), from_cpu,
+                -1, "to", to_cpu);
+  }
   if (port == kPortResched || port == kPortFreeze) {
     // Timer wakeups ride the same helper but are not IPIs; only scheduler
     // kicks feed the send->delivery latency histogram.
-    VSCALE_STALL_HOOK(OnIpiSent(domain_.id(), to_cpu, hv_.Now()));
+    if (StallAccountant* acct = obs_.stall) {
+      acct->OnIpiSent(domain_.id(), to_cpu, hv_.Now());
+    }
   }
   NotifyVcpu(to_cpu, port, /*urgent=*/false);
 }
@@ -168,8 +167,10 @@ void GuestKernel::WakeThread(GuestThread& t, EvtchnPort wake_port) {
     ++t.migrations;
   }
   EnqueueThread(c, t);
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "thread_wake",
-                           domain_.id(), dest, -1, "thread", t.id());
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(hv_.Now(), TraceCategory::kGuest, "thread_wake", domain_.id(), dest, -1,
+                "thread", t.id());
+  }
   // Remote enqueue notifies the destination CPU with a reschedule IPI; a wake onto the
   // CPU the waker itself runs on needs none (the local scheduler will see it).
   // We treat any wake that lands on a CPU that is not currently executing guest code

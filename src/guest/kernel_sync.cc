@@ -14,8 +14,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/base/check.h"
 #include "src/base/trace.h"
@@ -29,26 +27,10 @@ namespace {
 constexpr TimeNs kInfiniteSpin = kTimeNever;
 }  // namespace
 
-namespace {
-// Opt-in per-thread op tracing: VSCALE_TRACE_THREAD=<name substring>.
-const char* TraceFilter() {
-  static const char* filter = std::getenv("VSCALE_TRACE_THREAD");
-  return filter;
-}
-void Tr(const GuestThread& t, const char* what, TimeNs now) {
-  const char* filter = TraceFilter();
-  if (filter != nullptr && t.name().find(filter) != std::string::npos) {
-    std::fprintf(stderr, "[%.6f] %s %s op=%d phase=%d state=%d\n", now / 1e9,
-                 t.name().c_str(), what, (int)t.op.kind, t.op_phase, (int)t.state);
-  }
-}
-}  // namespace
-
 void GuestKernel::FetchNextOp(GuestThread& t) {
   assert(t.body() != nullptr);
   t.op = t.body()->Next(*this, t);
   t.op_phase = -1;
-  Tr(t, "fetch", hv_.Now());
   t.op_active = true;
   t.run_mode = RunMode::kCompute;
   t.remaining_ns = 0;
@@ -516,8 +498,10 @@ void GuestKernel::DoKernelLockAcquire(GuestCpu& c, GuestThread& t) {
   // Contended: ticket queue + busy wait (Figure 1(a) territory). With pv-spinlock the
   // spin is bounded; vanilla 3.14 ticket locks spin forever.
   ++kl.contentions;
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "lock_contend",
-                           domain_.id(), t.cpu, -1, "lock", lock_id);
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(hv_.Now(), TraceCategory::kGuest, "lock_contend", domain_.id(), t.cpu,
+                -1, "lock", lock_id);
+  }
   kl.queue.push_back(&t);
   t.waiting_lock = lock_id;
   t.run_mode = RunMode::kKernelSpin;
@@ -533,8 +517,10 @@ void GuestKernel::GrantKernelLock(KernelLock& kl, GuestThread& t) {
   const int lock_id = static_cast<int>(&kl - kernel_locks_.data());
   t.held_lock = lock_id;
   ++kl.acquisitions;
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "lock_grant",
-                           domain_.id(), t.cpu, -1, "lock", lock_id);
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(hv_.Now(), TraceCategory::kGuest, "lock_grant", domain_.id(), t.cpu, -1,
+                "lock", lock_id);
+  }
   StartKernelSection(t);
   if (config_.pv_spinlock) {
     // Kick the (possibly pv-yielded) waiter's vCPU. Harmless if it never yielded.
@@ -561,8 +547,10 @@ void GuestKernel::ReleaseKernelLock(int lock_id, GuestThread& releaser) {
 
 void GuestKernel::BlockCurrent(GuestCpu& c, GuestThread& t) {
   assert(c.current == &t);
-  VSCALE_TRACE_INSTANT_ARG(hv_.Now(), TraceCategory::kGuest, "thread_block",
-                           domain_.id(), c.id, -1, "thread", t.id());
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(hv_.Now(), TraceCategory::kGuest, "thread_block", domain_.id(), c.id,
+                -1, "thread", t.id());
+  }
   DispatchNext(c);
 }
 

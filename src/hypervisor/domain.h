@@ -10,12 +10,21 @@
 #include "src/base/histogram.h"
 #include "src/base/time.h"
 #include "src/hypervisor/types.h"
+#include "src/obs/stall_accounting.h"
 #include "src/sim/event_queue.h"
 
 namespace vscale {
 
 class Domain;
 class GuestOs;
+class Machine;
+
+// Passkey for Vcpu::SetState: only Machine can make one, so only Machine can
+// change a vCPU's run state, and only through the setter that reports it.
+class VcpuStateKey {
+  friend class Machine;
+  VcpuStateKey() {}
+};
 
 // Per-vCPU hypervisor state. Owned by its Domain, which stores vCPUs by value in
 // one contiguous array (fixed at domain creation, so Vcpu* stay stable).
@@ -30,9 +39,17 @@ class Vcpu {
 
   Domain* domain() const { return domain_; }
   VcpuId id() const { return id_; }
+  // Run state. SetState is its one writer: it applies the transition at
+  // sim.Now() and reports it to the stall accountant bound to `sim`.
+  VcpuState state() const { return state_; }
+  void SetState(VcpuState to, const Simulator& sim, VcpuStateKey);
 
+ private:
+  // Leads the hot cache line below.
+  VcpuState state_ = VcpuState::kBlocked;
+
+ public:
   // --- hot: read/written by every dispatch, settle, wake and queue operation ---
-  VcpuState state = VcpuState::kBlocked;
   CreditPriority priority = CreditPriority::kUnder;
   bool frozen = false;           // guest marked it frozen (vScale) — stays blocked
   bool polling = false;          // blocked in SCHEDOP_poll on poll_port
@@ -140,6 +157,15 @@ class Domain {
   std::vector<Vcpu> vcpus_;
   GuestOs* guest_ = nullptr;
 };
+
+// Inline: every dispatch, deschedule and wake goes through it.
+inline void Vcpu::SetState(VcpuState to, const Simulator& sim, VcpuStateKey) {
+  const VcpuState from = state_;
+  state_ = to;
+  if (StallAccountant* acct = sim.observers().stall) {
+    acct->OnTransition(domain_->id(), id_, sim.Now(), from, to);
+  }
+}
 
 }  // namespace vscale
 

@@ -29,9 +29,8 @@ Machine::~Machine() = default;
 
 Domain& Machine::CreateDomain(const std::string& name, int weight, int n_vcpus) {
   const DomainId id = static_cast<DomainId>(domains_.size());
-  if (VSCALE_TRACE_ACTIVE()) {
-    GlobalTracer().SetDomainName(id, name);
-  }
+  const Observers& obs = sim_.observers();
+  if (Tracer* tr = obs.trace) tr->SetDomainName(id, name);
   domains_.push_back(std::make_unique<Domain>(id, name, weight, n_vcpus));
   int base = domain_vcpu_base_.empty()
                  ? 0
@@ -45,7 +44,7 @@ Domain& Machine::CreateDomain(const std::string& name, int weight, int n_vcpus) 
     v.credit_ns = config_.cost.hv_accounting_period;
     v.priority = CreditPriority::kUnder;
     v.wait_since = sim_.Now();
-    VSCALE_STALL_HOOK(OnVcpuCreated(id, i, sim_.Now()));
+    if (StallAccountant* acct = obs.stall) acct->OnVcpuCreated(id, i, sim_.Now());
   }
   return d;
 }
@@ -56,7 +55,7 @@ int Machine::GlobalIndex(const Vcpu& v) const {
 
 void Machine::StartVcpu(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state == VcpuState::kBlocked) {
+  if (v.state() == VcpuState::kBlocked) {
     WakeVcpu(v, /*boost_eligible=*/false);
   }
 }
@@ -66,7 +65,7 @@ void Machine::StartVcpu(DomainId dom, VcpuId vcpu) {
 // ---------------------------------------------------------------------------
 
 void Machine::InsertRunnable(Vcpu& v, bool at_head_of_prio, bool tickle_idlers) {
-  assert(v.state == VcpuState::kRunnable);
+  assert(v.state() == VcpuState::kRunnable);
   Pcpu* p = nullptr;
   if (v.pcpu >= 0) {
     p = &pcpus_[static_cast<size_t>(v.pcpu)];
@@ -217,8 +216,10 @@ void Machine::ScheduleDecision(Pcpu& p) {
       }
       if (remote != nullptr) {
         RemoveFromRunq(*remote);
-        VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kHypervisor, "steal",
-                             remote->domain()->id(), remote->id(), p.id);
+        if (Tracer* tr = sim_.observers().trace) {
+          tr->Instant(sim_.Now(), TraceCategory::kHypervisor, "steal",
+                      remote->domain()->id(), remote->id(), p.id);
+        }
         RunOn(p, *remote);
         return;
       }
@@ -227,15 +228,12 @@ void Machine::ScheduleDecision(Pcpu& p) {
   Vcpu* next = PickFromRunq(p);
   if (next == nullptr && config_.work_stealing) {
     next = StealWork(p);
-    if (next != nullptr) {
-      VSCALE_TRACE_INSTANT(sim_.Now(), TraceCategory::kHypervisor, "steal",
-                           next->domain()->id(), next->id(), p.id);
+    if (Tracer* tr = sim_.observers().trace; tr != nullptr && next != nullptr) {
+      tr->Instant(sim_.Now(), TraceCategory::kHypervisor, "steal", next->domain()->id(),
+                  next->id(), p.id);
     }
   }
   if (next == nullptr) {
-    if (on_schedule_hook) {
-      on_schedule_hook(p.id, nullptr);
-    }
     return;  // stays idle; idle_since was set when the pCPU was vacated
   }
   RunOn(p, *next);
@@ -243,11 +241,11 @@ void Machine::ScheduleDecision(Pcpu& p) {
 
 void Machine::RunOn(Pcpu& p, Vcpu& v) {
   assert(p.current == nullptr);
-  assert(v.state == VcpuState::kRunnable);
+  assert(v.state() == VcpuState::kRunnable);
   const TimeNs now = sim_.Now();
   p.total_idle += now - p.idle_since;
   p.current = &v;
-  v.state = VcpuState::kRunning;
+  v.SetState(VcpuState::kRunning, sim_, VcpuStateKey());
   v.pcpu = p.id;
   v.total_wait += now - v.wait_since;
   if (now > v.wait_since) {
@@ -262,24 +260,21 @@ void Machine::RunOn(Pcpu& p, Vcpu& v) {
   v.slice_end = now + config_.cost.hv_time_slice;
   ++context_switches_;
   // Opens the "running" slice on both the pCPU and the vCPU export tracks; closed by
-  // the matching VSCALE_TRACE_END in DescheduleCurrent.
-  VSCALE_TRACE_BEGIN(now, TraceCategory::kHypervisor, "run", v.domain()->id(),
-                     v.id(), p.id);
-  VSCALE_STALL_HOOK(OnDispatch(v.domain()->id(), v.id(), now));
+  // the matching End in DescheduleCurrent.
+  if (Tracer* tr = sim_.observers().trace) {
+    tr->Begin(now, TraceCategory::kHypervisor, "run", v.domain()->id(), v.id(), p.id);
+  }
   GuestOs* guest = v.domain()->guest();
   guest->OnScheduledIn(v.id(), now);
   DrainPendingPorts(v);
-  if (v.state == VcpuState::kRunning) {
+  if (v.state() == VcpuState::kRunning) {
     RearmAdvance(v);
-  }
-  if (on_schedule_hook) {
-    on_schedule_hook(p.id, &v);
   }
 }
 
 void Machine::DrainPendingPorts(Vcpu& v) {
   auto& pending = pending_ports_[static_cast<size_t>(GlobalIndex(v))];
-  while (!pending.empty() && v.state == VcpuState::kRunning) {
+  while (!pending.empty() && v.state() == VcpuState::kRunning) {
     const EvtchnPort port = pending.front();
     pending.erase(pending.begin());
     v.domain()->guest()->DeliverEvent(v.id(), port);
@@ -287,7 +282,7 @@ void Machine::DrainPendingPorts(Vcpu& v) {
 }
 
 void Machine::SettleRunning(Vcpu& v) {
-  assert(v.state == VcpuState::kRunning);
+  assert(v.state() == VcpuState::kRunning);
   const TimeNs now = sim_.Now();
   const TimeNs elapsed = now - v.last_settle;
   if (elapsed <= 0) {
@@ -301,12 +296,14 @@ void Machine::SettleRunning(Vcpu& v) {
   d.consumed_in_acct_window += elapsed;
   // Attribute the running time before the guest advances: the guest's Advance
   // reclassifies any kernel-spin portion of `elapsed` via OnSpinAdvance.
-  VSCALE_STALL_HOOK(OnRunningAdvance(d.id(), v.id(), elapsed));
+  if (StallAccountant* acct = sim_.observers().stall) {
+    acct->OnRunningAdvance(d.id(), v.id(), elapsed);
+  }
   d.guest()->Advance(v.id(), elapsed);
 }
 
 void Machine::RearmAdvance(Vcpu& v) {
-  assert(v.state == VcpuState::kRunning);
+  assert(v.state() == VcpuState::kRunning);
   const TimeNs now = sim_.Now();
   const TimeNs dt = v.domain()->guest()->NextEventDelta(v.id());
   TimeNs deadline = v.slice_end;
@@ -322,7 +319,7 @@ void Machine::RearmAdvance(Vcpu& v) {
 
 void Machine::OnAdvance(Vcpu& v) {
   v.advance_event = Simulator::kInvalidEvent;
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;  // stale event that lost a cancellation race; harmless
   }
   SettleRunning(v);
@@ -333,7 +330,7 @@ void Machine::OnAdvance(Vcpu& v) {
     return;
   }
   v.domain()->guest()->OnDeadline(v.id());
-  if (v.state == VcpuState::kRunning && v.advance_event == Simulator::kInvalidEvent) {
+  if (v.state() == VcpuState::kRunning && v.advance_event == Simulator::kInvalidEvent) {
     RearmAdvance(v);
   }
 }
@@ -341,8 +338,9 @@ void Machine::OnAdvance(Vcpu& v) {
 void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail) {
   Vcpu& v = *p.current;
   const TimeNs now = sim_.Now();
-  VSCALE_TRACE_END(now, TraceCategory::kHypervisor, "run", v.domain()->id(), v.id(),
-                   p.id);
+  if (Tracer* tr = sim_.observers().trace) {
+    tr->End(now, TraceCategory::kHypervisor, "run", v.domain()->id(), v.id(), p.id);
+  }
   sim_.Cancel(v.advance_event);
   v.advance_event = Simulator::kInvalidEvent;
   sim_.Cancel(p.ratelimit_check);
@@ -358,10 +356,8 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
   if (v.priority == CreditPriority::kBoost || config_.acct_time_based) {
     v.priority = v.credit_ns > 0 ? CreditPriority::kUnder : CreditPriority::kOver;
   }
-  v.state = new_state;
+  v.SetState(new_state, sim_, VcpuStateKey());
   v.wait_since = now;
-  VSCALE_STALL_HOOK(OnDesched(v.domain()->id(), v.id(), now,
-                              new_state == VcpuState::kRunnable));
   if (new_state == VcpuState::kRunnable) {
     // Slice-end requeues stay local (no idler tickle): in Xen a descheduled vCPU
     // lingers on its pCPU's runq until an idler's load balance finds it.
@@ -370,8 +366,9 @@ void Machine::DescheduleCurrent(Pcpu& p, VcpuState new_state, bool requeue_tail)
 }
 
 void Machine::WakeVcpu(Vcpu& v, bool boost_eligible) {
-  assert(v.state == VcpuState::kBlocked);
+  assert(v.state() == VcpuState::kBlocked);
   const TimeNs now = sim_.Now();
+  const Observers& obs = sim_.observers();
   v.total_blocked += now - v.wait_since;
   ++v.wakeups;
   v.polling = false;
@@ -381,19 +378,19 @@ void Machine::WakeVcpu(Vcpu& v, bool boost_eligible) {
       // Budget exhausted (anti boost-abuse): the wake still queues, at UNDER —
       // it just cannot queue-jump until the next accounting period.
       ++boost_denied_;
-      VS_COVER(Record(CoveragePoint::kBoostDenied));
+      if (CoverageMap* cov = obs.cover) cov->Record(CoveragePoint::kBoostDenied);
     } else {
       v.priority = CreditPriority::kBoost;
       ++v.boost_used;
       ++boost_grants_;
     }
   }
-  v.state = VcpuState::kRunnable;
+  v.SetState(VcpuState::kRunnable, sim_, VcpuStateKey());
   v.wait_since = now;
-  VSCALE_STALL_HOOK(OnWake(v.domain()->id(), v.id(), now));
-  VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kHypervisor, "vcpu_wake",
-                           v.domain()->id(), v.id(), v.pcpu, "boost",
-                           v.priority == CreditPriority::kBoost ? 1 : 0);
+  if (Tracer* tr = obs.trace) {
+    tr->Instant(now, TraceCategory::kHypervisor, "vcpu_wake", v.domain()->id(), v.id(),
+                v.pcpu, "boost", v.priority == CreditPriority::kBoost ? 1 : 0);
+  }
   InsertRunnable(v);
 }
 
@@ -439,8 +436,10 @@ void Machine::MaybePreempt(Pcpu& p) {
   }
   SettleRunning(*p.current);
   ++p.current->preemptions;
-  VSCALE_TRACE_INSTANT(now, TraceCategory::kHypervisor, "preempt",
-                       p.current->domain()->id(), p.current->id(), p.id);
+  if (Tracer* tr = sim_.observers().trace) {
+    tr->Instant(now, TraceCategory::kHypervisor, "preempt", p.current->domain()->id(),
+                p.current->id(), p.id);
+  }
   DescheduleCurrent(p, VcpuState::kRunnable);
   ScheduleDecision(p);
 }
@@ -517,7 +516,9 @@ void Machine::HvTick() {
   // (never schedules its own), so enabling it cannot perturb the DES event
   // sequence. Every running vCPU was just settled to Now(), which is what
   // makes the bucket-exhaustiveness check exact here.
-  VSCALE_STALL_HOOK(Sample(sim_.Now()));
+  if (StallAccountant* acct = sim_.observers().stall) {
+    acct->Sample(sim_.Now(), sim_.observers());
+  }
 }
 
 void Machine::Accounting() {
@@ -542,10 +543,10 @@ void Machine::Accounting() {
       const TimeNs now = sim_.Now();
       for (int i = 0; i < d.n_vcpus(); ++i) {
         const Vcpu& v = d.vcpu(i);
-        if (v.state == VcpuState::kRunning) {
+        if (v.state() == VcpuState::kRunning) {
           return true;
         }
-        if (v.state == VcpuState::kRunnable &&
+        if (v.state() == VcpuState::kRunnable &&
             now - std::max(v.wait_since, acct_window_start_) > 0) {
           return true;
         }
@@ -553,7 +554,7 @@ void Machine::Accounting() {
       return false;
     }
     for (int i = 0; i < d.n_vcpus(); ++i) {
-      const VcpuState s = d.vcpu(i).state;
+      const VcpuState s = d.vcpu(i).state();
       if (s == VcpuState::kRunning || s == VcpuState::kRunnable) {
         return true;
       }
@@ -636,7 +637,7 @@ void Machine::Accounting() {
                static_cast<long long>(granted_total),
                static_cast<long long>(capacity));
 
-  if (VSCALE_TRACE_ACTIVE()) {
+  if (Tracer* tr = sim_.observers().trace) {
     // One credit-balance sample per domain per accounting pass: the entitlement side
     // of every scheduling decision, next to the run/preempt slices it explains.
     for (const auto& d : domains_) {
@@ -646,8 +647,8 @@ void Machine::Accounting() {
           credit_sum += d->vcpu(i).credit_ns;
         }
       }
-      VSCALE_TRACE_COUNTER(sim_.Now(), TraceCategory::kHypervisor, "credit_ns",
-                           d->id(), credit_sum);
+      tr->Counter(sim_.Now(), TraceCategory::kHypervisor, "credit_ns", d->id(),
+                  credit_sum);
     }
   }
 
@@ -686,19 +687,19 @@ void Machine::CheckSchedulerInvariants() {
                  "stolen pcpu %d still holds work (current=%d, runq=%zu)", p.id,
                  p.current != nullptr ? 1 : 0, p.runq.size());
     if (p.current != nullptr) {
-      VS_INVARIANT(p.current->state == VcpuState::kRunning,
+      VS_INVARIANT(p.current->state() == VcpuState::kRunning,
                    "pcpu %d runs dom %d vcpu %d which is in state %d, not RUNNING",
                    p.id, p.current->domain()->id(), p.current->id(),
-                   static_cast<int>(p.current->state));
+                   static_cast<int>(p.current->state()));
       VS_INVARIANT(p.current->pcpu == p.id,
                    "pcpu %d runs dom %d vcpu %d whose pcpu field says %d", p.id,
                    p.current->domain()->id(), p.current->id(), p.current->pcpu);
     }
     for (size_t i = 0; i < p.runq.size(); ++i) {
       const Vcpu* v = p.runq[i];
-      VS_INVARIANT(v->state == VcpuState::kRunnable,
+      VS_INVARIANT(v->state() == VcpuState::kRunnable,
                    "dom %d vcpu %d queued on pcpu %d in state %d, not RUNNABLE",
-                   v->domain()->id(), v->id(), p.id, static_cast<int>(v->state));
+                   v->domain()->id(), v->id(), p.id, static_cast<int>(v->state()));
       VS_INVARIANT(v->pcpu == p.id,
                    "dom %d vcpu %d queued on pcpu %d but its pcpu field says %d",
                    v->domain()->id(), v->id(), p.id, v->pcpu);
@@ -709,7 +710,7 @@ void Machine::CheckSchedulerInvariants() {
   for (const auto& d : domains_) {
     for (int i = 0; i < d->n_vcpus(); ++i) {
       const Vcpu& v = d->vcpu(i);
-      if (v.state == VcpuState::kRunning) {
+      if (v.state() == VcpuState::kRunning) {
         // At most one RUNNING vCPU per pCPU: every RUNNING vCPU must be the single
         // `current` of the pCPU it claims — two RUNNING vCPUs cannot share one.
         VS_INVARIANT(v.pcpu >= 0 && v.pcpu < n_pcpus(),
@@ -721,13 +722,13 @@ void Machine::CheckSchedulerInvariants() {
       }
       // BOOST legality: BOOST exists to accelerate a wakeup toward a pCPU; a vCPU
       // that went back to sleep must have been demoted on the way out.
-      VS_INVARIANT(v.state != VcpuState::kBlocked ||
+      VS_INVARIANT(v.state() != VcpuState::kBlocked ||
                        v.priority != CreditPriority::kBoost,
                    "dom %d vcpu %d is BLOCKED yet still holds BOOST priority",
                    d->id(), i);
-      VS_INVARIANT(!v.polling || v.state == VcpuState::kBlocked,
+      VS_INVARIANT(!v.polling || v.state() == VcpuState::kBlocked,
                    "dom %d vcpu %d polls port %d but is in state %d, not BLOCKED",
-                   d->id(), i, v.poll_port, static_cast<int>(v.state));
+                   d->id(), i, v.poll_port, static_cast<int>(v.state()));
       VS_INVARIANT(v.credit_ns <= period && v.credit_ns >= credit_floor,
                    "dom %d vcpu %d credit balance %lld ns outside [%lld, %lld] — "
                    "credit leak or external corruption",
@@ -745,7 +746,7 @@ void Machine::CheckSchedulerInvariants() {
 
 void Machine::BlockVcpu(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;
   }
   Pcpu& p = PcpuOf(v);
@@ -756,19 +757,23 @@ void Machine::BlockVcpu(DomainId dom, VcpuId vcpu) {
 
 void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urgent) {
   Vcpu& v = GetVcpu(dom, target);
-  switch (v.state) {
+  switch (v.state()) {
     case VcpuState::kBlocked: {
       pending_ports_[static_cast<size_t>(GlobalIndex(v))].push_back(port);
       WakeVcpu(v, /*boost_eligible=*/true);
-      VSCALE_STALL_HOOK(OnEventPosted(dom, target, sim_.Now()));
+      if (StallAccountant* acct = sim_.observers().stall) {
+        acct->OnEventPosted(dom, target, sim_.Now());
+      }
       break;
     }
     case VcpuState::kRunnable: {
       pending_ports_[static_cast<size_t>(GlobalIndex(v))].push_back(port);
       // The delayed-virtual-interrupt pathology of paper Fig. 1(b)/(c): the event
       // sits pending until the preempted vCPU is scheduled again.
-      VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kHypervisor,
-                               "evtchn_delayed", dom, target, v.pcpu, "port", port);
+      if (Tracer* tr = sim_.observers().trace) {
+        tr->Instant(sim_.Now(), TraceCategory::kHypervisor, "evtchn_delayed", dom,
+                    target, v.pcpu, "port", port);
+      }
       if (urgent) {
         // vScale: prioritize the reconfigured vCPU so freeze/unfreeze IPIs land fast.
         RemoveFromRunq(v);
@@ -777,13 +782,15 @@ void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urg
         }
         InsertRunnable(v, /*at_head_of_prio=*/true);
       }
-      VSCALE_STALL_HOOK(OnEventPosted(dom, target, sim_.Now()));
+      if (StallAccountant* acct = sim_.observers().stall) {
+        acct->OnEventPosted(dom, target, sim_.Now());
+      }
       break;
     }
     case VcpuState::kRunning: {
       SettleRunning(v);
       v.domain()->guest()->DeliverEvent(v.id(), port);
-      if (v.state == VcpuState::kRunning) {
+      if (v.state() == VcpuState::kRunning) {
         RearmAdvance(v);
       }
       break;
@@ -793,7 +800,7 @@ void Machine::NotifyEvent(DomainId dom, VcpuId target, EvtchnPort port, bool urg
 
 void Machine::YieldVcpu(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;
   }
   Pcpu& p = PcpuOf(v);
@@ -804,13 +811,15 @@ void Machine::YieldVcpu(DomainId dom, VcpuId vcpu) {
 
 void Machine::PollVcpu(DomainId dom, VcpuId vcpu, EvtchnPort port) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state != VcpuState::kRunning) {
+  if (v.state() != VcpuState::kRunning) {
     return;
   }
   Pcpu& p = PcpuOf(v);
   SettleRunning(v);
   // A poll-block is the pv-spinlock halt path: lock-related, not idle.
-  VSCALE_STALL_HOOK(SetBlockReason(dom, vcpu, StallBlockReason::kFutex));
+  if (StallAccountant* acct = sim_.observers().stall) {
+    acct->SetBlockReason(dom, vcpu, StallBlockReason::kFutex);
+  }
   DescheduleCurrent(p, VcpuState::kBlocked);
   v.polling = true;
   v.poll_port = port;
@@ -820,9 +829,14 @@ void Machine::PollVcpu(DomainId dom, VcpuId vcpu, EvtchnPort port) {
 void Machine::NotifyFreeze(DomainId dom, VcpuId vcpu, bool frozen) {
   Vcpu& v = GetVcpu(dom, vcpu);
   v.frozen = frozen;
-  VSCALE_STALL_HOOK(OnFrozenChanged(dom, vcpu, sim_.Now(), frozen));
-  VSCALE_TRACE_INSTANT_ARG(sim_.Now(), TraceCategory::kHypervisor, "hv_freeze", dom,
-                           vcpu, v.pcpu, "frozen", frozen ? 1 : 0);
+  const Observers& obs = sim_.observers();
+  if (StallAccountant* acct = obs.stall) {
+    acct->OnFrozenChanged(dom, vcpu, sim_.Now(), frozen);
+  }
+  if (Tracer* tr = obs.trace) {
+    tr->Instant(sim_.Now(), TraceCategory::kHypervisor, "hv_freeze", dom, vcpu, v.pcpu,
+                "frozen", frozen ? 1 : 0);
+  }
   if (!frozen) {
     // Re-entering the active list: seed the vCPU with the domain's average active
     // balance so it does not sit OVER behind everyone until the next accounting pass.
@@ -859,7 +873,7 @@ ChannelPayload Machine::ReadChannelPayload(DomainId dom) {
 
 void Machine::VcpuStateChanged(DomainId dom, VcpuId vcpu) {
   Vcpu& v = GetVcpu(dom, vcpu);
-  if (v.state == VcpuState::kRunning) {
+  if (v.state() == VcpuState::kRunning) {
     SettleRunning(v);
     RearmAdvance(v);
   }
@@ -882,7 +896,7 @@ TimeNs Machine::WindowWaited(DomainId dom) const {
   const TimeNs now = sim_.Now();
   for (int i = 0; i < d.n_vcpus(); ++i) {
     const Vcpu& v = d.vcpu(i);
-    if (v.state == VcpuState::kRunnable) {
+    if (v.state() == VcpuState::kRunnable) {
       waited += now - std::max(v.wait_since, window_start_);
     }
   }
@@ -911,6 +925,7 @@ void Machine::WriteExtendability(DomainId dom, int n_vcpus, TimeNs ext_ns) {
 void Machine::SetStolenPcpus(int n) {
   n = std::clamp(n, 0, n_pcpus() - 1);
   const TimeNs now = sim_.Now();
+  const Observers& obs = sim_.observers();
   // Pass 1: flip the stolen marks and vacate newly stolen pCPUs. Displaced and
   // parked vCPUs are collected first and re-placed only after every mark is final,
   // so none lands on a pCPU about to be stolen in the same transition.
@@ -928,13 +943,16 @@ void Machine::SetStolenPcpus(int n) {
         SettleRunning(*p.current);
         ++p.current->preemptions;
         Vcpu& evicted = *p.current;
-        VSCALE_TRACE_INSTANT(now, TraceCategory::kHypervisor, "steal_evict",
-                             evicted.domain()->id(), evicted.id(), p.id);
+        if (Tracer* tr = obs.trace) {
+          tr->Instant(now, TraceCategory::kHypervisor, "steal_evict",
+                      evicted.domain()->id(), evicted.id(), p.id);
+        }
         // InsertRunnable sees p already marked stolen, so the requeue re-places
         // the evicted vCPU on a surviving pCPU right away.
         DescheduleCurrent(p, VcpuState::kRunnable);
-        VSCALE_STALL_HOOK(
-            OnStealDisplaced(evicted.domain()->id(), evicted.id(), now));
+        if (StallAccountant* acct = obs.stall) {
+          acct->OnStealDisplaced(evicted.domain()->id(), evicted.id(), now);
+        }
       } else {
         // Close the idle window: the burst counts as stolen time, not idle time.
         p.total_idle += now - p.idle_since;
@@ -954,7 +972,9 @@ void Machine::SetStolenPcpus(int n) {
   // Pass 2: the hypervisor migrates the stolen pCPUs' queues to surviving ones.
   for (Vcpu* v : displaced) {
     v->pcpu = -1;
-    VSCALE_STALL_HOOK(OnStealDisplaced(v->domain()->id(), v->id(), now));
+    if (StallAccountant* acct = obs.stall) {
+      acct->OnStealDisplaced(v->domain()->id(), v->id(), now);
+    }
     InsertRunnable(*v);
   }
   for (Pcpu* p : freed) {

@@ -18,7 +18,6 @@
 #ifndef VSCALE_SRC_HYPERVISOR_MACHINE_H_
 #define VSCALE_SRC_HYPERVISOR_MACHINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -129,9 +128,6 @@ class Machine : public HvServices {
   // awarded by WakeVcpu; denials only occur with boost_budget > 0.
   int64_t boost_grants() const { return boost_grants_; }
   int64_t boost_denied() const { return boost_denied_; }
-
-  // Invoked after every scheduling decision; for tracing (Fig. 8) and tests.
-  std::function<void(PcpuId, Vcpu*)> on_schedule_hook;
 
  private:
   // The run queue lives inline in the Pcpu (SmallVector): scanning a queue is

@@ -39,7 +39,7 @@ VscaleChannel::ReadResult VscaleChannel::Read() {
   if (p.seq != 0 && p.stamp != ChannelStamp(p.seq, p.nvcpus)) {
     ++reads_failed_;
     ++torn_rejected_;
-    VS_COVER(Record(CoveragePoint::kTornReadRejected));
+    if (CoverageMap* cov = obs_.cover) cov->Record(CoveragePoint::kTornReadRejected);
     return r;
   }
 

@@ -26,8 +26,10 @@ namespace vscale {
 
 class VscaleChannel {
  public:
-  VscaleChannel(HvServices& hv, const CostModel& cost, DomainId dom)
-      : hv_(hv), cost_(cost), dom_(dom) {}
+  // `obs` is the reader's simulation seam (a torn read is a coverage point).
+  VscaleChannel(HvServices& hv, const CostModel& cost, DomainId dom,
+                const Observers& obs)
+      : hv_(hv), cost_(cost), dom_(dom), obs_(obs) {}
 
   struct ReadResult {
     bool ok = false;             // false: read failed or payload rejected as torn
@@ -57,6 +59,7 @@ class VscaleChannel {
   HvServices& hv_;
   const CostModel& cost_;
   DomainId dom_;
+  const Observers& obs_;
   FaultInjector* faults_ = nullptr;
   int64_t reads_ = 0;
   int64_t reads_failed_ = 0;

@@ -10,11 +10,12 @@ void RegisterMachineMetrics(MetricsRegistry& registry, Machine& machine,
   registry.RegisterGauge(prefix + "sim.events_processed", [m] {
     return static_cast<int64_t>(m->sim().events_processed());
   });
-  // Unprefixed on purpose: the tracer ring is global, so one machine's drop
-  // count is everyone's drop count. A nonzero value means trace-derived
-  // figures (and trace_lint verdicts) looked at a truncated window.
-  registry.RegisterGauge("trace.events_dropped", [] {
-    return static_cast<int64_t>(GlobalTracer().dropped());
+  // Unprefixed on purpose: machines traced into one ring share its drop count.
+  // A nonzero value means trace-derived figures (and trace_lint verdicts)
+  // looked at a truncated window. 0 for an untraced machine.
+  registry.RegisterGauge("trace.events_dropped", [m] {
+    const Tracer* t = m->sim().observers().trace;
+    return t != nullptr ? static_cast<int64_t>(t->dropped()) : int64_t{0};
   });
   registry.RegisterGauge(prefix + "hv.context_switches",
                          [m] { return m->context_switches(); });

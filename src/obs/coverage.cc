@@ -8,10 +8,6 @@
 
 namespace vscale {
 
-namespace obs_internal {
-bool g_cover_enabled = false;
-}  // namespace obs_internal
-
 namespace {
 
 // The documented point catalogue, enum order (docs/FUZZING.md). The cov-docs
@@ -214,13 +210,9 @@ void CoverageMap::BeginRun() {
   daemon_degraded_ = false;
   daemon_crashed_ = false;
   active_ = true;
-  obs_internal::g_cover_enabled = true;
 }
 
-void CoverageMap::FinishRun() {
-  active_ = false;
-  obs_internal::g_cover_enabled = false;
-}
+void CoverageMap::FinishRun() { active_ = false; }
 
 void CoverageMap::Reset() {
   FinishRun();
@@ -232,6 +224,7 @@ void CoverageMap::Reset() {
 }
 
 void CoverageMap::Record(CoveragePoint p) {
+  if (!active_) return;
   const int i = static_cast<int>(p);
   if (i < 0 || i >= kNumCoveragePoints) return;
   ++counts_[i];
@@ -254,21 +247,25 @@ void CoverageMap::OnFaultBegin(int fault_kind) {
 }
 
 void CoverageMap::OnDaemonDegrade() {
+  if (!active_) return;
   daemon_degraded_ = true;
   Record(CoveragePoint::kDaemonDegraded);
 }
 
 void CoverageMap::OnDaemonResume() {
+  if (!active_) return;
   daemon_degraded_ = false;
   Record(CoveragePoint::kDaemonResumed);
 }
 
 void CoverageMap::OnDaemonCrash() {
+  if (!active_) return;
   daemon_crashed_ = true;
   Record(CoveragePoint::kDaemonCrashed);
 }
 
 void CoverageMap::OnDaemonRestart() {
+  if (!active_) return;
   daemon_crashed_ = false;
   // A restarted daemon is a fresh process: it forgot it was degraded.
   daemon_degraded_ = false;

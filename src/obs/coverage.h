@@ -30,8 +30,10 @@
 // Like the Tracer and the StallAccountant before it, the map is a pure
 // observer: off by default, it never mutates simulation state and never
 // touches an Rng, so an enabled run replays to a bit-identical StateDigest
-// (tools/digest_run --cov-check is the gate). Hook sites use the VS_COVER
-// macro — one predictable branch on a global bool when disabled.
+// (tools/digest_run --cov-check is the gate). It hears a simulation only
+// while bound to that simulation's observer seam (Observers::cover,
+// src/sim/observers.h), and records only between BeginRun and FinishRun —
+// the same rule the StallAccountant follows.
 //
 // Because every count is derived from the deterministic event sequence, a
 // run's coverage vector is itself deterministic: the same scenario yields the
@@ -196,18 +198,20 @@ class CoverageMap {
  public:
   CoverageMap();
 
-  // The process-wide map all VS_COVER hooks feed (mirrors StallAccountant).
+  // The process-wide map harnesses bind (mirrors StallAccountant).
   static CoverageMap& Global();
 
-  // Starts a run: clears counts and pair-tracking state, enables the gate.
+  // Starts a run: clears counts and pair-tracking state, marks the map active.
   void BeginRun();
-  // Disables the gate; counts stay readable until the next BeginRun/Reset.
+  // Marks the map inactive; counts stay readable until the next BeginRun/Reset.
   void FinishRun();
-  // Clears everything and disables the gate (tests, oracle hygiene).
+  // Clears everything and marks the map inactive (tests, oracle hygiene).
   void Reset();
   bool active() const { return active_; }
 
-  // Generic feature counter; the stateful hooks below call it too.
+  // Generic feature counter; the stateful hooks below call it too. Like every
+  // hook, it is a no-op outside BeginRun..FinishRun, so a map still bound to
+  // a finished simulation records nothing.
   void Record(CoveragePoint p);
 
   // --- fault plane (src/faults/fault_injector.cc) --------------------------
@@ -266,21 +270,6 @@ class CoverageMap {
   bool daemon_crashed_ = false;
   int64_t counts_[kNumCoveragePoints] = {};
 };
-
-namespace obs_internal {
-// Fast hook gate, mirrors CoverageMap::Global().active(). Mutated only by
-// BeginRun/FinishRun/Reset.
-extern bool g_cover_enabled;
-}  // namespace obs_internal
-
-// Hook sites use this macro so a disabled map costs one predictable branch and
-// never evaluates its arguments' side effects beyond the call site.
-#define VS_COVER(call_)                                \
-  do {                                                 \
-    if (::vscale::obs_internal::g_cover_enabled) {     \
-      ::vscale::CoverageMap::Global().call_;           \
-    }                                                  \
-  } while (0)
 
 }  // namespace vscale
 

@@ -12,10 +12,6 @@
 
 namespace vscale {
 
-namespace obs_internal {
-bool g_stall_enabled = false;
-}  // namespace obs_internal
-
 namespace {
 
 // Sends to a parked vCPU can pile up without a delivery; bound the FIFO so a
@@ -63,10 +59,9 @@ void StallAccountant::BeginRun(const std::string& label) {
   emitted_doms_.clear();
   sample_seq_ = 0;
   active_ = true;
-  obs_internal::g_stall_enabled = true;
 }
 
-void StallAccountant::FinishRun(TimeNs now) {
+void StallAccountant::FinishRun(TimeNs now, const Observers& obs) {
   if (!active_) return;
   std::map<int, std::array<int64_t, kStallBucketCount>> per_dom;
   for (auto& [key, a] : vcpus_) {
@@ -104,12 +99,12 @@ void StallAccountant::FinishRun(TimeNs now) {
         best = i;
       }
     }
-    if (totals[static_cast<size_t>(best)] > 0) {
-      VS_COVER(OnStallDominant(static_cast<StallBucket>(best)));
+    if (CoverageMap* cov = obs.cover; cov != nullptr &&
+        totals[static_cast<size_t>(best)] > 0) {
+      cov->OnStallDominant(static_cast<StallBucket>(best));
     }
   }
   active_ = false;
-  obs_internal::g_stall_enabled = false;
 }
 
 StallAccountant::VcpuAcct& StallAccountant::Get(int dom, int vcpu, TimeNs now) {
@@ -126,7 +121,7 @@ StallBucket StallAccountant::DeriveBucket(const VcpuAcct& a) {
   // whatever else is pending. (Running-while-frozen is evacuation progress and
   // is attributed by OnRunningAdvance, not here.)
   if (a.frozen) return StallBucket::kFrozen;
-  if (a.hv_state == HvState::kRunnable) {
+  if (a.hv_state == VcpuState::kRunnable) {
     if (a.displaced) return StallBucket::kStolen;
     if (a.pending_event) return StallBucket::kIpiInFlight;
     return StallBucket::kRunnableWaitingPcpu;
@@ -136,7 +131,7 @@ StallBucket StallAccountant::DeriveBucket(const VcpuAcct& a) {
 }
 
 void StallAccountant::Flush(VcpuAcct& a, TimeNs now) {
-  if (a.hv_state != HvState::kRunning) {
+  if (a.hv_state != VcpuState::kRunning) {
     a.buckets[static_cast<int>(a.cur)] += now - a.since;
   }
   a.since = now;
@@ -144,7 +139,7 @@ void StallAccountant::Flush(VcpuAcct& a, TimeNs now) {
 
 void StallAccountant::Retarget(VcpuAcct& a, TimeNs now) {
   Flush(a, now);
-  if (a.hv_state != HvState::kRunning) a.cur = DeriveBucket(a);
+  if (a.hv_state != VcpuState::kRunning) a.cur = DeriveBucket(a);
 }
 
 void StallAccountant::OnVcpuCreated(int dom, int vcpu, TimeNs now) {
@@ -152,39 +147,32 @@ void StallAccountant::OnVcpuCreated(int dom, int vcpu, TimeNs now) {
   Get(dom, vcpu, now);
 }
 
-void StallAccountant::OnDispatch(int dom, int vcpu, TimeNs now) {
+void StallAccountant::OnTransition(int dom, int vcpu, TimeNs now, VcpuState from,
+                                   VcpuState to) {
   if (!active_) return;
   VcpuAcct& a = Get(dom, vcpu, now);
-  if (a.wake_start != kTimeNever) {
-    wake_to_dispatch_.Add(now - a.wake_start);
-    a.wake_start = kTimeNever;
-  }
+  // No-op from running: running time arrives via OnRunningAdvance.
   Flush(a, now);
-  a.hv_state = HvState::kRunning;
-  a.pending_event = false;  // RunOn drains pending ports at dispatch
-  a.displaced = false;
-}
-
-void StallAccountant::OnDesched(int dom, int vcpu, TimeNs now, bool to_runnable) {
-  if (!active_) return;
-  VcpuAcct& a = Get(dom, vcpu, now);
-  Flush(a, now);  // no-op while running; running time arrives via OnRunningAdvance
-  a.hv_state = to_runnable ? HvState::kRunnable : HvState::kBlocked;
-  if (!to_runnable && a.frozen && a.freeze_start != kTimeNever) {
+  a.hv_state = to;
+  if (to == VcpuState::kRunning) {
+    if (a.wake_start != kTimeNever) {
+      wake_to_dispatch_.Add(now - a.wake_start);
+      a.wake_start = kTimeNever;
+    }
+    a.pending_event = false;  // RunOn drains pending ports at dispatch
+    a.displaced = false;
+    return;
+  }
+  if (from == VcpuState::kBlocked) {
+    // A wake: the block reason is consumed (rearmed before the next block).
+    a.block_reason = StallBlockReason::kIdle;
+    a.wake_start = now;
+  } else if (to == VcpuState::kBlocked && a.frozen &&
+             a.freeze_start != kTimeNever) {
     // A frozen vCPU blocking is Algorithm 2's quiescent point.
     freeze_quiesce_.Add(now - a.freeze_start);
     a.freeze_start = kTimeNever;
   }
-  a.cur = DeriveBucket(a);
-}
-
-void StallAccountant::OnWake(int dom, int vcpu, TimeNs now) {
-  if (!active_) return;
-  VcpuAcct& a = Get(dom, vcpu, now);
-  Flush(a, now);
-  a.hv_state = HvState::kRunnable;
-  a.block_reason = StallBlockReason::kIdle;  // consumed; rearmed before next block
-  a.wake_start = now;
   a.cur = DeriveBucket(a);
 }
 
@@ -208,13 +196,13 @@ void StallAccountant::OnFrozenChanged(int dom, int vcpu, TimeNs now, bool frozen
   Flush(a, now);
   a.frozen = frozen;
   if (!frozen) a.freeze_start = kTimeNever;  // unfreeze cancels an open episode
-  if (a.hv_state != HvState::kRunning) a.cur = DeriveBucket(a);
+  if (a.hv_state != VcpuState::kRunning) a.cur = DeriveBucket(a);
 }
 
 void StallAccountant::OnEventPosted(int dom, int vcpu, TimeNs now) {
   if (!active_) return;
   VcpuAcct& a = Get(dom, vcpu, now);
-  if (a.hv_state == HvState::kRunning) return;  // delivered immediately
+  if (a.hv_state == VcpuState::kRunning) return;  // delivered immediately
   Flush(a, now);
   a.pending_event = true;
   a.cur = DeriveBucket(a);
@@ -225,7 +213,7 @@ void StallAccountant::OnStealDisplaced(int dom, int vcpu, TimeNs now) {
   VcpuAcct& a = Get(dom, vcpu, now);
   // A displaced vCPU can be re-dispatched within the same steal transition;
   // if it is already running again there is no stolen wait to attribute.
-  if (a.hv_state == HvState::kRunning) return;
+  if (a.hv_state == VcpuState::kRunning) return;
   Flush(a, now);
   a.displaced = true;
   a.cur = DeriveBucket(a);
@@ -267,29 +255,21 @@ void StallAccountant::OnApplyTarget(int dom, int target) {
 }
 
 void StallAccountant::EmitCounterTracks(
-    [[maybe_unused]] int dom,
-    [[maybe_unused]] const std::array<int64_t, kStallBucketCount>& t,
-    [[maybe_unused]] TimeNs now) {
-  // Every statement below compiles away under -DVSCALE_TRACE=OFF.
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_running_ns",
-                       dom, t[0]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_runnable_ns",
-                       dom, t[1]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_lhp_ns",
-                       dom, t[2]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_futex_ns",
-                       dom, t[3]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_ipi_ns",
-                       dom, t[4]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_frozen_ns",
-                       dom, t[5]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_stolen_ns",
-                       dom, t[6]);
-  VSCALE_TRACE_COUNTER(now, TraceCategory::kHypervisor, "stall_idle_ns",
-                       dom, t[7]);
+    Tracer& tracer, int dom, const std::array<int64_t, kStallBucketCount>& t,
+    TimeNs now) {
+  // Literal names at each call, so vslint's trace-docs rule sees every track.
+  const TraceCategory cat = TraceCategory::kHypervisor;
+  tracer.Counter(now, cat, "stall_running_ns", dom, t[0]);
+  tracer.Counter(now, cat, "stall_runnable_ns", dom, t[1]);
+  tracer.Counter(now, cat, "stall_lhp_ns", dom, t[2]);
+  tracer.Counter(now, cat, "stall_futex_ns", dom, t[3]);
+  tracer.Counter(now, cat, "stall_ipi_ns", dom, t[4]);
+  tracer.Counter(now, cat, "stall_frozen_ns", dom, t[5]);
+  tracer.Counter(now, cat, "stall_stolen_ns", dom, t[6]);
+  tracer.Counter(now, cat, "stall_idle_ns", dom, t[7]);
 }
 
-void StallAccountant::Sample(TimeNs now) {
+void StallAccountant::Sample(TimeNs now, const Observers& obs) {
   if (!active_) return;
   ++samples_;
   // Exhaustiveness holds exactly at HvTick boundaries: every running vCPU was
@@ -316,11 +296,13 @@ void StallAccountant::Sample(TimeNs now) {
     // restart explicit — a zero sample at the domain's first emission of this
     // run — so the trace_lint contract stays sharp: stall_* counters may only
     // ever decrease TO zero.
-    if (!emitted_doms_[dom]) {
-      emitted_doms_[dom] = true;
-      EmitCounterTracks(dom, std::array<int64_t, kStallBucketCount>{}, now);
+    if (Tracer* tracer = obs.trace) {
+      if (!emitted_doms_[dom]) {
+        emitted_doms_[dom] = true;
+        EmitCounterTracks(*tracer, dom, {}, now);
+      }
+      EmitCounterTracks(*tracer, dom, t, now);
     }
-    EmitCounterTracks(dom, t, now);
     CsvRow row;
     row.run = label_;
     row.ts = now;
@@ -351,7 +333,7 @@ bool StallAccountant::CheckExhaustive(TimeNs now, std::string* error) const {
   for (const auto& [key, a] : vcpus_) {
     int64_t total = 0;
     for (int i = 0; i < kStallBucketCount; ++i) total += a.buckets[i];
-    if (a.hv_state != HvState::kRunning) total += now - a.since;
+    if (a.hv_state != VcpuState::kRunning) total += now - a.since;
     int64_t wall = now - a.birth;
     if (total != wall) {
       if (error != nullptr) {
@@ -425,7 +407,6 @@ void StallAccountant::PublishMetrics(MetricsRegistry& registry,
 
 void StallAccountant::Reset() {
   active_ = false;
-  obs_internal::g_stall_enabled = false;
   label_.clear();
   vcpus_.clear();
   wake_to_dispatch_ = LatencyHistogram();

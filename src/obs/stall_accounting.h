@@ -28,8 +28,8 @@
 // Like the Tracer (src/base/trace.h) the accountant is off by default, never
 // mutates simulation state, and never touches the RNG: an enabled run produces
 // a bit-identical StateDigest to a disabled one (tools/digest_run --stall-check
-// is the gate). Hooks are guarded by the VSCALE_STALL_HOOK macro, a single
-// branch on a global bool when disabled.
+// is the gate). It hears a simulation only while bound to that simulation's
+// observer seam (Observers::stall, src/sim/observers.h).
 //
 // Outputs: per-domain counter tracks in the Chrome trace, a CSV time series
 // (WriteCsv) consumed by tools/stall_report, MetricsRegistry counters
@@ -49,6 +49,8 @@
 
 #include "src/base/histogram.h"
 #include "src/base/time.h"
+#include "src/hypervisor/types.h"
+#include "src/sim/observers.h"
 
 namespace vscale {
 
@@ -86,7 +88,7 @@ class StallAccountant {
  public:
   StallAccountant();
 
-  // The process-wide accountant all hooks feed (mirrors GlobalTracer()).
+  // The process-wide accountant harnesses bind to the runs they account.
   static StallAccountant& Global();
 
   // Starts accounting a run. Resets per-vCPU state and histograms but keeps
@@ -95,18 +97,19 @@ class StallAccountant {
   void BeginRun(const std::string& label);
 
   // Final flush at `now`: emits per-vCPU totals rows into the CSV series,
-  // counts unmatched in-flight IPIs, and disables the hook gate.
-  void FinishRun(TimeNs now);
+  // counts unmatched in-flight IPIs, reports each domain's dominant bucket to
+  // `obs.cover`, and stops accounting until the next BeginRun.
+  void FinishRun(TimeNs now, const Observers& obs);
 
   bool active() const { return active_; }
   const std::string& run_label() const { return label_; }
 
   // --- hypervisor hooks (src/hypervisor/machine.cc) -------------------------
   void OnVcpuCreated(int dom, int vcpu, TimeNs now);
-  void OnDispatch(int dom, int vcpu, TimeNs now);
-  // After Machine sets the new state; `to_runnable` false means blocked.
-  void OnDesched(int dom, int vcpu, TimeNs now, bool to_runnable);
-  void OnWake(int dom, int vcpu, TimeNs now);
+  // Every hypervisor run-state change, reported by Machine's one state setter:
+  // dispatch (to kRunning), deschedule (from kRunning) and wake (kBlocked to
+  // kRunnable).
+  void OnTransition(int dom, int vcpu, TimeNs now, VcpuState from, VcpuState to);
   // Elapsed running time attributed by Machine::SettleRunning (called before
   // the guest advances, so OnSpinAdvance below can reclassify a portion).
   void OnRunningAdvance(int dom, int vcpu, TimeNs elapsed);
@@ -133,9 +136,9 @@ class StallAccountant {
   // Deterministic sampler, driven from the end of Machine::HvTick (a
   // pre-existing periodic event, so sampling adds no DES events and cannot
   // perturb the event sequence). Verifies bucket exhaustiveness for every
-  // vCPU and, every kSampleEmitPeriod ticks, emits trace counter tracks and
-  // a CSV row per domain.
-  void Sample(TimeNs now);
+  // vCPU and, every kSampleEmitPeriod ticks, emits counter tracks to
+  // `obs.trace` and a CSV row per domain.
+  void Sample(TimeNs now, const Observers& obs);
 
   // --- queries / export -----------------------------------------------------
   int64_t BucketNs(int dom, int vcpu, StallBucket b) const;
@@ -169,11 +172,9 @@ class StallAccountant {
   void Reset();
 
  private:
-  // Coarse hypervisor-visible state; buckets are derived from it plus flags.
-  enum class HvState { kRunning, kRunnable, kBlocked };
-
   struct VcpuAcct {
-    HvState hv_state = HvState::kBlocked;
+    // Coarse hypervisor-visible state; buckets are derived from it plus flags.
+    VcpuState hv_state = VcpuState::kBlocked;
     bool frozen = false;
     bool pending_event = false;  // wakeup port posted, not yet dispatched
     bool displaced = false;      // evicted by a pCPU steal, still runnable
@@ -197,9 +198,9 @@ class StallAccountant {
   // One trace counter per bucket for `dom` at `now`. A domain's first emission
   // in a run is preceded by an all-zero set so cumulative tracks restart
   // explicitly (trace_lint allows stall_* decreases only to zero).
-  void EmitCounterTracks(int dom,
-                         const std::array<int64_t, kStallBucketCount>& t,
-                         TimeNs now);
+  static void EmitCounterTracks(Tracer& tracer, int dom,
+                                const std::array<int64_t, kStallBucketCount>& t,
+                                TimeNs now);
   static StallBucket DeriveBucket(const VcpuAcct& a);
   // Closes the open non-running interval at `now` (no-op while running).
   void Flush(VcpuAcct& a, TimeNs now);
@@ -228,21 +229,6 @@ class StallAccountant {
   };
   std::vector<CsvRow> rows_;  // survives across runs; cleared by Reset()
 };
-
-namespace obs_internal {
-// Fast hook gate, mirrors StallAccountant::Global().active(). Mutated only by
-// BeginRun/FinishRun/Reset.
-extern bool g_stall_enabled;
-}  // namespace obs_internal
-
-// Hook sites use this macro so a disabled accountant costs one predictable
-// branch and never evaluates its arguments' side effects beyond the call site.
-#define VSCALE_STALL_HOOK(call_)                       \
-  do {                                                 \
-    if (::vscale::obs_internal::g_stall_enabled) {     \
-      ::vscale::StallAccountant::Global().call_;       \
-    }                                                  \
-  } while (0)
 
 }  // namespace vscale
 

@@ -55,6 +55,7 @@
 #include "src/base/time.h"
 #include "src/base/trace.h"
 #include "src/sim/event_fn.h"
+#include "src/sim/observers.h"
 
 namespace vscale {
 
@@ -112,6 +113,10 @@ class Simulator {
   size_t pending_events() const { return live_; }
   uint64_t events_processed() const { return events_processed_; }
 
+  // This simulation's observer seam (src/sim/observers.h); all null = none.
+  Observers& observers() { return observers_; }
+  const Observers& observers() const { return observers_; }
+
  private:
   // A pending occurrence in the flat min-heap. `seq` is the schedule order (the
   // tie-break); `slot`/`gen` locate and validate the callback in the slab.
@@ -168,6 +173,7 @@ class Simulator {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
+  Observers observers_;
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<Node[]>> chunks_;  // the slab; chunk arrays never move
   uint32_t n_nodes_ = 0;        // slots handed out so far (all chunks, all states)
@@ -334,8 +340,10 @@ inline void Simulator::FireTop() {
   ++n.gen;  // invalidates the outstanding EventId: Cancel after fire is a no-op
   --live_;
   ++events_processed_;
-  VSCALE_TRACE_INSTANT_ARG(now_, TraceCategory::kSim, "event_fire", -1, -1, -1,
-                           "pending", pending_events());
+  if (Tracer* tr = observers_.trace) {
+    tr->Instant(now_, TraceCategory::kSim, "event_fire", -1, -1, -1, "pending",
+                pending_events());
+  }
   // In-place invocation: the chunked slab guarantees `n` stays put even if the
   // callback grows the slab, and the slot is not on the free list yet, so a
   // callback that schedules can never clobber its own executing closure. The

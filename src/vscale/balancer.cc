@@ -9,9 +9,13 @@ namespace vscale {
 
 VscaleBalancer::ApplyOutcome VscaleBalancer::ApplyTarget(int target) {
   target = std::clamp(target, 1, kernel_.n_cpus());
-  VSCALE_TRACE_INSTANT_ARG(kernel_.NowNs(), TraceCategory::kVscale, "apply_target",
-                           kernel_.domain().id(), -1, -1, "target", target);
-  VSCALE_STALL_HOOK(OnApplyTarget(kernel_.domain().id(), target));
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(kernel_.NowNs(), TraceCategory::kVscale, "apply_target",
+                kernel_.domain().id(), -1, -1, "target", target);
+  }
+  if (StallAccountant* acct = obs_.stall) {
+    acct->OnApplyTarget(kernel_.domain().id(), target);
+  }
   ApplyOutcome out;
   int active = kernel_.online_cpus();
   // A freeze/unfreeze op that the fault plane fails burns its syscall entry before
@@ -22,8 +26,10 @@ VscaleBalancer::ApplyOutcome VscaleBalancer::ApplyTarget(int target) {
       out.cost += kernel_.cost().freeze_syscall;
       ++out.ops_failed;
       ++op_failures_;
-      VSCALE_TRACE_INSTANT(kernel_.NowNs(), TraceCategory::kVscale, "freeze_op_fail",
-                           kernel_.domain().id(), -1, -1);
+      if (Tracer* tr = obs_.trace) {
+        tr->Instant(kernel_.NowNs(), TraceCategory::kVscale, "freeze_op_fail",
+                    kernel_.domain().id(), -1, -1);
+      }
       return true;
     }
     return false;

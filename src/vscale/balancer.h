@@ -18,7 +18,8 @@ namespace vscale {
 
 class VscaleBalancer {
  public:
-  explicit VscaleBalancer(GuestKernel& kernel) : kernel_(kernel) {}
+  explicit VscaleBalancer(GuestKernel& kernel)
+      : kernel_(kernel), obs_(kernel.observers()) {}
 
   struct ApplyOutcome {
     TimeNs cost = 0;      // master-side cost to charge to the caller
@@ -43,6 +44,7 @@ class VscaleBalancer {
 
  private:
   GuestKernel& kernel_;
+  const Observers& obs_;
   FaultInjector* faults_ = nullptr;
   int64_t freezes_ = 0;
   int64_t unfreezes_ = 0;

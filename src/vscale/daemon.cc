@@ -48,8 +48,9 @@ void DaemonConfig::Validate() const {
 
 VscaleDaemon::VscaleDaemon(GuestKernel& kernel, HvServices& hv, DaemonConfig config)
     : kernel_(kernel),
+      obs_(kernel.observers()),
       config_(config),
-      channel_(hv, kernel.cost(), kernel.domain().id()),
+      channel_(hv, kernel.cost(), kernel.domain().id(), obs_),
       balancer_(kernel) {
   config_.Validate();
 }
@@ -94,16 +95,17 @@ void VscaleDaemon::DoApply() {
 void VscaleDaemon::Degrade() {
   degraded_ = true;
   ++degradations_;
-  VS_COVER(OnDaemonDegrade());
+  if (CoverageMap* cov = obs_.cover) cov->OnDaemonDegrade();
   if (first_degrade_ns_ == 0) {
     first_degrade_ns_ = kernel_.NowNs();
   }
   votes_ = 0;
   pending_target_ = -1;
   healthy_streak_ = 0;
-  VSCALE_TRACE_INSTANT_ARG(kernel_.NowNs(), TraceCategory::kVscale,
-                           "daemon_degrade", kernel_.domain().id(), 0, -1, "floor",
-                           SafeFloor());
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(kernel_.NowNs(), TraceCategory::kVscale, "daemon_degrade",
+                kernel_.domain().id(), 0, -1, "floor", SafeFloor());
+  }
   // Fail safe: with the channel dead the VM may be stuck shrunk while demand
   // grows, so give it its vCPUs back (up to the floor) and hold.
   if (kernel_.online_cpus() < SafeFloor()) {
@@ -114,18 +116,20 @@ void VscaleDaemon::Degrade() {
 void VscaleDaemon::Resume() {
   degraded_ = false;
   ++resumes_;
-  VS_COVER(OnDaemonResume());
+  if (CoverageMap* cov = obs_.cover) cov->OnDaemonResume();
   last_resume_ns_ = kernel_.NowNs();
   votes_ = 0;
   pending_target_ = -1;
-  VSCALE_TRACE_INSTANT(kernel_.NowNs(), TraceCategory::kVscale, "daemon_resume",
-                       kernel_.domain().id(), 0, -1);
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(kernel_.NowNs(), TraceCategory::kVscale, "daemon_resume",
+                kernel_.domain().id(), 0, -1);
+  }
 }
 
 void VscaleDaemon::OnWatchdogTrip() {
   // Watchdog-forced degradation enters the same semantic state as a
   // self-detected one; keep the coverage map's daemon-state shadow honest.
-  VS_COVER(OnDaemonDegrade());
+  if (CoverageMap* cov = obs_.cover) cov->OnDaemonDegrade();
   degraded_ = true;
   votes_ = 0;
   pending_target_ = -1;
@@ -173,9 +177,11 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
     if (!crashed_) {
       crashed_ = true;
       ++crashes_;
-      VS_COVER(OnDaemonCrash());
-      VSCALE_TRACE_INSTANT(kernel.NowNs(), TraceCategory::kVscale, "daemon_crash",
-                           kernel.domain().id(), 0, -1);
+      if (CoverageMap* cov = obs_.cover) cov->OnDaemonCrash();
+      if (Tracer* tr = obs_.trace) {
+        tr->Instant(kernel.NowNs(), TraceCategory::kVscale, "daemon_crash",
+                    kernel.domain().id(), 0, -1);
+      }
     }
     read_attempts_ = 0;
     return Op::Sleep(config_.poll_period);
@@ -183,10 +189,12 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
   if (crashed_) {
     crashed_ = false;
     ++restarts_;
-    VS_COVER(OnDaemonRestart());
+    if (CoverageMap* cov = obs_.cover) cov->OnDaemonRestart();
     ResetControlState();
-    VSCALE_TRACE_INSTANT(kernel.NowNs(), TraceCategory::kVscale, "daemon_restart",
-                         kernel.domain().id(), 0, -1);
+    if (Tracer* tr = obs_.trace) {
+      tr->Instant(kernel.NowNs(), TraceCategory::kVscale, "daemon_restart",
+                  kernel.domain().id(), 0, -1);
+    }
   }
   if (faults_ != nullptr && faults_->Active(FaultKind::kDaemonStall)) {
     read_attempts_ = 0;
@@ -203,9 +211,10 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
       ++read_retries_;
       backoff_ = Backoff(read_attempts_);
       phase_ = Phase::kReadBackoff;
-      VSCALE_TRACE_INSTANT_ARG(kernel.NowNs(), TraceCategory::kVscale,
-                               "read_retry", kernel.domain().id(), 0, -1, "attempt",
-                               read_attempts_);
+      if (Tracer* tr = obs_.trace) {
+        tr->Instant(kernel.NowNs(), TraceCategory::kVscale, "read_retry",
+                    kernel.domain().id(), 0, -1, "attempt", read_attempts_);
+      }
       return Op::Compute(r.cost);
     }
     // Retries exhausted: the cycle failed. Enough of those in a row means the
@@ -232,10 +241,12 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
       if (stale_streak_ >= config_.stale_reads_threshold) {
         if (stale_streak_ == config_.stale_reads_threshold) {
           ++stale_detections_;
-          VS_COVER(OnDaemonStaleHold());
-          VSCALE_TRACE_INSTANT_ARG(kernel.NowNs(), TraceCategory::kVscale,
-                                   "stale_detected", kernel.domain().id(), 0, -1,
-                                   "seq", static_cast<int64_t>(r.seq));
+          if (CoverageMap* cov = obs_.cover) cov->OnDaemonStaleHold();
+          if (Tracer* tr = obs_.trace) {
+            tr->Instant(kernel.NowNs(), TraceCategory::kVscale, "stale_detected",
+                        kernel.domain().id(), 0, -1, "seq",
+                        static_cast<int64_t>(r.seq));
+          }
         }
         stale = true;
       }
@@ -311,10 +322,13 @@ Op VscaleDaemon::CycleStart(GuestKernel& kernel) {
             ++implausible_streak_;
             if (implausible_streak_ >= config_.clamp_confirmations) {
               ++clamped_cycles_;
-              VS_COVER(Record(CoveragePoint::kClampFired));
-              VSCALE_TRACE_INSTANT_ARG(kernel.NowNs(), TraceCategory::kVscale,
-                                       "clamp", kernel.domain().id(), 0, -1,
-                                       "plausible", plausible);
+              if (CoverageMap* cov = obs_.cover) {
+                cov->Record(CoveragePoint::kClampFired);
+              }
+              if (Tracer* tr = obs_.trace) {
+                tr->Instant(kernel.NowNs(), TraceCategory::kVscale, "clamp",
+                            kernel.domain().id(), 0, -1, "plausible", plausible);
+              }
               target = std::max(kernel.online_cpus(), plausible);
             }
           } else {

@@ -150,6 +150,7 @@ class VscaleDaemon : public ThreadBody {
   Op FinishCycle(GuestKernel& kernel, TimeNs cost);
 
   GuestKernel& kernel_;
+  const Observers& obs_;
   DaemonConfig config_;
   VscaleChannel channel_;
   VscaleBalancer balancer_;

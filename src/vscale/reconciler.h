@@ -80,6 +80,7 @@ class VscaleReconciler {
   TimeNs RepairVcpu(int i, bool guest_frozen, bool hv_frozen, bool lost_wake);
 
   GuestKernel& kernel_;
+  const Observers& obs_;
   HvServices& hv_;
   VscaleDaemon* daemon_;  // null: skip the believed-count leg
   ReconcilerConfig config_;

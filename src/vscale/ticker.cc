@@ -7,6 +7,7 @@ namespace vscale {
 ExtendabilityTicker::ExtendabilityTicker(Machine& machine, TimeNs period,
                                          ExtendabilityOptions options)
     : machine_(machine),
+      obs_(machine.sim().observers()),
       period_(period > 0 ? period : machine.cost().vscale_recalc_period),
       options_(options) {
   task_ = std::make_unique<PeriodicTask>(machine_.sim(), period_,
@@ -39,9 +40,10 @@ void ExtendabilityTicker::Recompute() {
       continue;  // UP-VMs are omitted: no room for scaling (paper section 4.2)
     }
     machine_.WriteExtendability(d->id(), results[i].optimal_vcpus, results[i].ext_ns);
-    VSCALE_TRACE_COUNTER(machine_.Now(), TraceCategory::kVscale,
-                         "extendability_nvcpus", d->id(),
-                         results[i].optimal_vcpus);
+    if (Tracer* tr = obs_.trace) {
+      tr->Counter(machine_.Now(), TraceCategory::kVscale, "extendability_nvcpus",
+                  d->id(), results[i].optimal_vcpus);
+    }
   }
   machine_.ResetConsumptionWindow();
   if (on_pass) {

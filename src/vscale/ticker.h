@@ -47,6 +47,7 @@ class ExtendabilityTicker {
 
  private:
   Machine& machine_;
+  const Observers& obs_;
   TimeNs period_;
   ExtendabilityOptions options_;
   std::unique_ptr<PeriodicTask> task_;

@@ -20,6 +20,7 @@ void WatchdogConfig::Validate() const {
 VscaleWatchdog::VscaleWatchdog(GuestKernel& kernel, VscaleDaemon& daemon,
                                WatchdogConfig config)
     : kernel_(kernel),
+      obs_(kernel.observers()),
       daemon_(daemon),
       config_(config),
       task_(kernel.sim(), config.check_period, [this] { Check(); }) {
@@ -46,10 +47,12 @@ void VscaleWatchdog::Check() {
       // The daemon is heartbeating again (stall window closed or restart done).
       tripped_ = false;
       ++recoveries_;
-      VS_COVER(OnWatchdogRecovery());
+      if (CoverageMap* cov = obs_.cover) cov->OnWatchdogRecovery();
       last_recovery_ns_ = now;
-      VSCALE_TRACE_INSTANT(now, TraceCategory::kVscale, "watchdog_recover",
-                           kernel_.domain().id(), 0, -1);
+      if (Tracer* tr = obs_.trace) {
+        tr->Instant(now, TraceCategory::kVscale, "watchdog_recover",
+                    kernel_.domain().id(), 0, -1);
+      }
     }
     return;
   }
@@ -60,12 +63,14 @@ void VscaleWatchdog::Check() {
   ++trips_;
   // Before daemon_.OnWatchdogTrip() below: the pair feature wants the daemon
   // state the trip landed on, not the state the trip forces it into.
-  VS_COVER(OnWatchdogTrip());
+  if (CoverageMap* cov = obs_.cover) cov->OnWatchdogTrip();
   if (first_trip_ns_ == 0) {
     first_trip_ns_ = now;
   }
-  VSCALE_TRACE_INSTANT_ARG(now, TraceCategory::kVscale, "watchdog_trip",
-                           kernel_.domain().id(), 0, -1, "heartbeat_age_ns", age);
+  if (Tracer* tr = obs_.trace) {
+    tr->Instant(now, TraceCategory::kVscale, "watchdog_trip", kernel_.domain().id(), 0,
+                -1, "heartbeat_age_ns", age);
+  }
   // Emergency unfreeze to the safe floor. This runs in kernel context (the softdog
   // model), not the dead daemon's: the unfreeze work lands on vCPU0's kernel
   // backlog, to be consumed before thread work like any irq bottom half.

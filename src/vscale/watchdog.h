@@ -64,6 +64,7 @@ class VscaleWatchdog {
   int SafeFloor() const;
 
   GuestKernel& kernel_;
+  const Observers& obs_;
   VscaleDaemon& daemon_;
   WatchdogConfig config_;
   PeriodicTask task_;

@@ -2,6 +2,7 @@
 
 #include "src/base/check.h"
 #include "src/base/metrics_registry.h"
+#include "src/base/trace.h"
 #include "src/metrics/run_metrics.h"
 #include "src/obs/coverage.h"
 #include "src/obs/stall_accounting.h"
@@ -110,16 +111,16 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
 
   // Arm the stall accountant before the machine exists so the per-vCPU birth
   // hooks in CreateDomain land in this run's timeline.
-  stall_enabled_ = config_.stall_accounting || g_stall_accounting_default;
-  if (stall_enabled_) {
+  const bool stall = config_.stall_accounting || g_stall_accounting_default;
+  if (stall) {
     StallAccountant::Global().BeginRun(
         SanitizeMetricName(ToString(config_.policy)));
   }
 
   // Arm the coverage map alongside, and bin the resolved scenario shape while
   // the config is in hand (the domain count includes desktops + antagonists).
-  cover_enabled_ = config_.coverage || g_coverage_default;
-  if (cover_enabled_) {
+  const bool cover = config_.coverage || g_coverage_default;
+  if (cover) {
     CoverageMap::Global().BeginRun();
     const int domains = 1 + config_.background_vms +
                         static_cast<int>(config_.antagonists.size());
@@ -137,6 +138,12 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   mc.acct_time_based = config_.hardening.acct_time_based;
   mc.boost_budget = config_.hardening.boost_budget;
   machine_ = std::make_unique<Machine>(mc);
+  // The one place harness runs bind their observers. The global tracer records
+  // this run only if a harness enabled it before constructing the testbed.
+  machine_->sim().observers() = {
+      .trace = GlobalTracer().enabled() ? &GlobalTracer() : nullptr,
+      .stall = stall ? &StallAccountant::Global() : nullptr,
+      .cover = cover ? &CoverageMap::Global() : nullptr};
 
   GuestConfig gc;
   gc.pv_spinlock = PolicyUsesPvlock(config_.policy);
@@ -328,23 +335,22 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
 }
 
 Testbed::~Testbed() {
-  if (stall_enabled_) {
+  const Observers& obs = sim().observers();
+  if (StallAccountant* acct = obs.stall) {
     // Close the stall timeline at the machine's final time and publish the
     // totals before gauge freezing, so one metrics CSV carries both.
-    StallAccountant& acct = StallAccountant::Global();
-    acct.FinishRun(sim().Now());
-    acct.PublishMetrics(MetricsRegistry::Global(),
-                        SanitizeMetricName(ToString(config_.policy)) + ".");
+    acct->FinishRun(sim().Now(), obs);
+    acct->PublishMetrics(MetricsRegistry::Global(),
+                         SanitizeMetricName(ToString(config_.policy)) + ".");
   }
-  if (cover_enabled_) {
+  if (CoverageMap* cov = obs.cover) {
     // After the stall FinishRun above, so the dominant-bucket points it emits
     // land in this run's vector; publish the per-run coverage vector as cov.*
-    // counters, then drop the gate. Counts stay readable (CoverageMap::Vector)
+    // counters, then finish the run. Counts stay readable (CoverageMap::Vector)
     // until the next BeginRun — the oracle harvests them post-destruction.
-    CoverageMap& cov = CoverageMap::Global();
-    cov.PublishMetrics(MetricsRegistry::Global(),
-                       SanitizeMetricName(ToString(config_.policy)) + ".");
-    cov.FinishRun();
+    cov->PublishMetrics(MetricsRegistry::Global(),
+                        SanitizeMetricName(ToString(config_.policy)) + ".");
+    cov->FinishRun();
   }
   // Gauges registered above hold references into this machine: materialize their
   // final values before teardown so later WriteCsv() calls stay valid.

@@ -186,8 +186,8 @@ class Testbed {
     return antagonist_domain_ids_;
   }
 
-  bool stall_enabled() const { return stall_enabled_; }
-  bool coverage_enabled() const { return cover_enabled_; }
+  bool stall_enabled() const { return machine_->sim().observers().stall != nullptr; }
+  bool coverage_enabled() const { return machine_->sim().observers().cover != nullptr; }
   // Process-wide default for stall accounting, so harness flag parsing
   // (bench/bench_common.h) can enable it without threading a field through
   // every benchmark's config construction. OR-ed with config.stall_accounting.
@@ -203,8 +203,6 @@ class Testbed {
 
  private:
   TestbedConfig config_;
-  bool stall_enabled_ = false;
-  bool cover_enabled_ = false;
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<GuestKernel> primary_kernel_;
   std::vector<std::unique_ptr<GuestKernel>> background_kernels_;

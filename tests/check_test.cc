@@ -5,8 +5,7 @@
 // frozen vCPU's run queue — and assert that the next sweep reports it with a
 // message naming the culprit. They install a capturing handler instead of the
 // default abort, so a run can be driven past the corruption (error-code style,
-// no death tests). In unchecked builds they GTEST_SKIP(), mirroring how
-// trace_lint reports "skipped" under VSCALE_TRACE=OFF; the macro no-op
+// no death tests). In unchecked builds they GTEST_SKIP(); the macro no-op
 // behaviour itself is verified in both flavours.
 
 #include <gtest/gtest.h>
@@ -162,7 +161,7 @@ TEST(CheckedSweepTest, RunnableThreadOnFrozenVcpuIsDetected) {
       [&] {
         return kernel.cpu(3).current == nullptr &&
                !kernel.cpu(3).evacuate_pending &&
-               bed.primary_domain().vcpu(3).state == VcpuState::kBlocked;
+               bed.primary_domain().vcpu(3).state() == VcpuState::kBlocked;
       },
       Seconds(5));
   ASSERT_TRUE(kernel.IsFrozen(3));

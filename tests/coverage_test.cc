@@ -1,5 +1,5 @@
-// CoverageMap unit tests (docs/FUZZING.md): catalogue naming, the VS_COVER
-// gate, the daemon-state shadows behind the pair.* features, scenario-shape
+// CoverageMap unit tests (docs/FUZZING.md): catalogue naming, the observer
+// binding and run lifecycle, the daemon-state shadows behind the pair.* features, scenario-shape
 // binning, metric export — plus the generator-side contracts the guided
 // fuzzer rests on: PredictedCoverage's static points, MutateScenario's
 // determinism, and biased generation degenerating to blind against a
@@ -44,25 +44,32 @@ TEST(CoverageCatalogue, NamesRoundTripAndUnique) {
   EXPECT_FALSE(ParseCoveragePoint("fault.not_a_kind", &p));
 }
 
-TEST(CoverageMapTest, HookGateFollowsLifecycle) {
+TEST(CoverageMapTest, HooksReachOnlyTheBoundMap) {
   CoverageMap& map = CoverageMap::Global();
   map.Reset();
   EXPECT_FALSE(map.active());
-  // An inactive map's hook macro must not record: this is the whole
-  // disabled-run cost model.
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
-  EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 0);
-
   map.BeginRun();
   EXPECT_TRUE(map.active());
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
+  // The hook idiom every site uses: an unbound seam must not record, which is
+  // the whole disabled-run cost model.
+  Observers obs;
+  auto hook = [&] {
+    if (CoverageMap* cov = obs.cover) {
+      cov->Record(CoveragePoint::kBoostDenied);
+    }
+  };
+  hook();
+  EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 0);
+  obs.cover = &map;
+  hook();
+  hook();
   EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 2);
 
-  // FinishRun closes the gate but keeps counts readable for harvest.
+  // FinishRun ends the run but keeps counts readable for harvest; a hook
+  // through a seam still bound to the map records nothing after it.
   map.FinishRun();
   EXPECT_FALSE(map.active());
-  VS_COVER(Record(CoveragePoint::kBoostDenied));
+  hook();
   EXPECT_EQ(map.count(CoveragePoint::kBoostDenied), 2);
   EXPECT_EQ(map.covered_points(), 1);
 
@@ -102,6 +109,14 @@ TEST(CoverageMapTest, PairFeaturesTrackDaemonState) {
   map.OnDaemonResume();
   map.OnFaultBegin(stall);
   EXPECT_EQ(map.count(CoveragePoint::kPairDaemonStallDegraded), 2);
+
+  // After FinishRun the stateful hooks record nothing, as Record does.
+  const CoverageVector harvested = map.Vector();
+  map.FinishRun();
+  map.OnDaemonDegrade();
+  map.OnFaultBegin(stall);
+  map.OnWatchdogTrip();
+  EXPECT_EQ(map.Vector(), harvested);
   map.Reset();
 }
 
@@ -174,9 +189,10 @@ TEST(CoverageTestbedTest, ArmsAndBinsResolvedShape) {
     Testbed bed(cfg);
     EXPECT_TRUE(bed.coverage_enabled());
     EXPECT_TRUE(CoverageMap::Global().active());
+    EXPECT_EQ(bed.sim().observers().cover, &CoverageMap::Global());
     bed.sim().RunUntil(Milliseconds(50));
   }
-  // Post-dtor: gate closed, vector harvested, cov.* metrics published.
+  // Post-dtor: run finished, vector harvested, cov.* metrics published.
   EXPECT_FALSE(CoverageMap::Global().active());
   const CoverageVector v = CoverageMap::Global().Vector();
   EXPECT_EQ(At(v, CoveragePoint::kShapeDomains1), 1);

@@ -259,7 +259,8 @@ struct ChannelRig {
     EXPECT_TRUE(ParseFaultPlan(spec, &plan, &error)) << error;
     injector = std::make_unique<FaultInjector>(machine->sim(), plan);
     injector->Arm();
-    channel = std::make_unique<VscaleChannel>(*machine, machine->cost(), dom->id());
+    channel = std::make_unique<VscaleChannel>(*machine, machine->cost(), dom->id(),
+                                              machine->sim().observers());
     channel->set_fault_injector(injector.get());
   }
 

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <concepts>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/hypervisor/machine.h"
 #include "src/hypervisor/toolstack.h"
 #include "src/hypervisor/hotplug_model.h"
 #include "src/hypervisor/vscale_channel.h"
+#include "src/obs/stall_accounting.h"
 
 namespace vscale {
 namespace {
@@ -86,6 +90,38 @@ struct World {
   std::vector<std::unique_ptr<StubGuest>> guests;
 };
 
+// Vcpu run state has one writer, Vcpu::SetState, which reports every
+// transition to the bound stall accountant and takes a key only Machine can
+// make: outside Machine the state reads but neither the field nor the setter
+// can be reached.
+template <typename V>
+concept RunStateAssignable = requires(V& v) { v.state = VcpuState::kRunning; };
+template <typename V>
+concept RunStateFieldAssignable =
+    requires(V& v) { v.state_ = VcpuState::kRunning; };
+template <typename V, typename Key>
+concept RunStateSettable = requires(V& v, const Simulator& sim) {
+  v.SetState(VcpuState::kRunning, sim, Key());
+};
+static_assert(!RunStateAssignable<Vcpu>);
+static_assert(!RunStateFieldAssignable<Vcpu>);
+static_assert(!RunStateSettable<Vcpu, VcpuStateKey>);
+static_assert(!std::is_default_constructible_v<VcpuStateKey>);
+static_assert(requires(const Vcpu& v) {
+  { v.state() } -> std::same_as<VcpuState>;
+});
+// The probes are not vacuous: with the members public and a key anyone can
+// make, each one is satisfied.
+struct OpenKey {};
+struct OpenVcpu {
+  VcpuState state = VcpuState::kBlocked;
+  VcpuState state_ = VcpuState::kBlocked;
+  void SetState(VcpuState to, const Simulator&, OpenKey) { state_ = to; }
+};
+static_assert(RunStateAssignable<OpenVcpu>);
+static_assert(RunStateFieldAssignable<OpenVcpu>);
+static_assert(RunStateSettable<OpenVcpu, OpenKey>);
+
 double Share(const Domain& d, TimeNs window, int pcpus) {
   return static_cast<double>(d.TotalRuntime()) /
          static_cast<double>(window * pcpus);
@@ -97,6 +133,28 @@ TEST(CreditSchedulerTest, SingleBusyVcpuGetsWholePcpu) {
   w.guest(0).RunForever(0);
   w.machine->sim().RunUntil(Seconds(1));
   EXPECT_NEAR(ToSeconds(w.machine->domain(0).TotalRuntime()), 1.0, 0.01);
+}
+
+TEST(CreditSchedulerTest, StateSetterFeedsBoundStallAccountant) {
+  World w(1);
+  StallAccountant acct;
+  acct.BeginRun("unit");
+  w.machine->sim().observers().stall = &acct;
+  w.AddVm("a", 256, 1);
+  w.AddVm("b", 256, 1);
+  w.guest(0).RunForever(0);
+  w.guest(1).AddWork(0, Milliseconds(200));
+  w.machine->sim().RunUntil(Seconds(1));
+  std::string error;
+  EXPECT_TRUE(acct.CheckExhaustive(Seconds(1), &error)) << error;
+  EXPECT_GT(acct.samples(), 0);
+  EXPECT_EQ(acct.exhaustive_failures(), 0);
+  // Wakes, dispatches and deschedules all reached the accountant.
+  EXPECT_EQ(acct.wake_to_dispatch().count(), 2);
+  EXPECT_GT(acct.BucketNs(0, 0, StallBucket::kRunning), Milliseconds(700));
+  EXPECT_GT(acct.BucketNs(0, 0, StallBucket::kRunnableWaitingPcpu), 0);
+  EXPECT_EQ(acct.BucketNs(1, 0, StallBucket::kRunning), Milliseconds(200));
+  EXPECT_GT(acct.BucketNs(1, 0, StallBucket::kIdle), 0);
 }
 
 TEST(CreditSchedulerTest, EqualWeightsSplitEvenly) {
@@ -283,12 +341,12 @@ TEST(CreditSchedulerTest, PollBlocksUntilPortNotified) {
   w.machine->sim().RunUntil(Milliseconds(5));
   // Enter poll via direct hypercall (as the pv-lock slow path would).
   w.machine->PollVcpu(0, 0, /*port=*/7);
-  EXPECT_EQ(w.machine->domain(0).vcpu(0).state, VcpuState::kBlocked);
+  EXPECT_EQ(w.machine->domain(0).vcpu(0).state(), VcpuState::kBlocked);
   w.machine->sim().RunUntil(Milliseconds(20));
-  EXPECT_EQ(w.machine->domain(0).vcpu(0).state, VcpuState::kBlocked);
+  EXPECT_EQ(w.machine->domain(0).vcpu(0).state(), VcpuState::kBlocked);
   w.machine->NotifyEvent(0, 0, /*port=*/7);
   w.machine->sim().RunUntil(Milliseconds(21));
-  EXPECT_EQ(w.machine->domain(0).vcpu(0).state, VcpuState::kRunning);
+  EXPECT_EQ(w.machine->domain(0).vcpu(0).state(), VcpuState::kRunning);
 }
 
 TEST(CreditSchedulerTest, UrgentNotifyPrioritizesQueuedVcpu) {
@@ -301,9 +359,9 @@ TEST(CreditSchedulerTest, UrgentNotifyPrioritizesQueuedVcpu) {
   w.machine->sim().RunUntil(Seconds(1));
   // All three vCPUs contend for one pCPU. Pick a moment where the target is queued.
   w.machine->sim().RunUntilCondition(
-      [&] { return w.machine->domain(1).vcpu(0).state == VcpuState::kRunnable; },
+      [&] { return w.machine->domain(1).vcpu(0).state() == VcpuState::kRunnable; },
       Seconds(2));
-  ASSERT_EQ(w.machine->domain(1).vcpu(0).state, VcpuState::kRunnable);
+  ASSERT_EQ(w.machine->domain(1).vcpu(0).state(), VcpuState::kRunnable);
   const int before = w.guest(1).vcpu(0).scheduled_in;
   w.machine->NotifyEvent(1, 0, /*port=*/42, /*urgent=*/true);
   w.machine->sim().RunUntil(w.machine->sim().Now() + Milliseconds(3));
@@ -341,7 +399,8 @@ TEST(VscaleChannelTest, ReadsMailboxAndChargesFixedCost) {
   World w(2);
   w.AddVm("a", 256, 2);
   w.machine->WriteExtendability(0, 3, Milliseconds(25));
-  VscaleChannel channel(*w.machine, w.machine->cost(), 0);
+  VscaleChannel channel(*w.machine, w.machine->cost(), 0,
+                        w.machine->sim().observers());
   const auto result = channel.Read();
   EXPECT_EQ(result.extendability_nvcpus, 3);
   EXPECT_EQ(result.cost, Nanoseconds(910));

@@ -4,14 +4,18 @@
 // paper-acceptance claim itself — under vScale the primary domain's
 // scheduler-attributable stall share (runnable wait + LHP spin) drops.
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/metrics_registry.h"
 #include "src/base/time.h"
+#include "src/base/trace.h"
 #include "src/faults/fault_plan.h"
+#include "src/metrics/trace_export.h"
 #include "src/obs/stall_accounting.h"
 #include "src/obs/stall_report.h"
 #include "src/workloads/omp_app.h"
@@ -38,12 +42,14 @@ TEST_F(StallTest, SyntheticTimelineIsExhaustive) {
   StallAccountant& a = StallAccountant::Global();
   a.BeginRun("unit");
   a.OnVcpuCreated(0, 0, 0);           // born blocked+idle at t=0
-  a.OnWake(0, 0, 100);                // idle 100ns, now waiting for a pCPU
-  a.OnDispatch(0, 0, 250);            // runnable 150ns, now on a pCPU
+  // idle 100ns, now waiting for a pCPU; then runnable 150ns, now on a pCPU
+  a.OnTransition(0, 0, 100, VcpuState::kBlocked, VcpuState::kRunnable);
+  a.OnTransition(0, 0, 250, VcpuState::kRunnable, VcpuState::kRunning);
   a.OnRunningAdvance(0, 0, 500);      // 500ns attributed running...
   a.OnSpinAdvance(0, 0, 200);         // ...of which 200ns was kernel spin
   a.SetBlockReason(0, 0, StallBlockReason::kFutex);
-  a.OnDesched(0, 0, 750, /*to_runnable=*/false);  // futex-sleeps at 750
+  // futex-sleeps at 750
+  a.OnTransition(0, 0, 750, VcpuState::kRunning, VcpuState::kBlocked);
 
   std::string error;
   EXPECT_TRUE(a.CheckExhaustive(1000, &error)) << error;
@@ -55,7 +61,7 @@ TEST_F(StallTest, SyntheticTimelineIsExhaustive) {
   ASSERT_EQ(a.wake_to_dispatch().count(), 1);
   EXPECT_EQ(a.wake_to_dispatch().Quantile(1.0), 150);
 
-  a.FinishRun(1000);  // closes the open futex interval: 750..1000
+  a.FinishRun(1000, Observers{});  // closes the open futex interval: 750..1000
   EXPECT_EQ(a.BucketNs(0, 0, StallBucket::kFutexBlocked), 250);
   int64_t total = 0;
   for (int b = 0; b < kStallBucketCount; ++b) {
@@ -70,12 +76,12 @@ TEST_F(StallTest, FlagBucketsDeriveWithFrozenPrecedence) {
   a.OnVcpuCreated(1, 0, 0);
   // An event posted to a woken-but-undispatched vCPU opens the delayed-IPI
   // window; the vScale freeze then reclassifies the wait as intentional.
-  a.OnWake(1, 0, 0);
+  a.OnTransition(1, 0, 0, VcpuState::kBlocked, VcpuState::kRunnable);
   a.OnEventPosted(1, 0, 100);              // 0..100 runnable_wait, then ipi
   a.OnFrozenChanged(1, 0, 300, true);      // 100..300 ipi, then frozen wins
   a.OnFrozenChanged(1, 0, 600, false);     // 300..600 frozen
   a.OnStealDisplaced(1, 0, 700);           // 600..700 ipi again, then stolen
-  a.FinishRun(900);                        // 700..900 stolen
+  a.FinishRun(900, Observers{});           // 700..900 stolen
 
   EXPECT_EQ(a.BucketNs(1, 0, StallBucket::kRunnableWaitingPcpu), 100);
   EXPECT_EQ(a.BucketNs(1, 0, StallBucket::kIpiInFlight), 300);
@@ -94,7 +100,7 @@ TEST_F(StallTest, IpiLatencyMatchingAndLeftovers) {
   a.OnIpiSent(0, 2, 2000);            // never delivered
   ASSERT_EQ(a.ipi_deliver().count(), 1);
   EXPECT_EQ(a.ipi_deliver().Quantile(1.0), 800);
-  a.FinishRun(3000);
+  a.FinishRun(3000, Observers{});
   EXPECT_EQ(a.ipi_unmatched_sends(), 1);
 }
 
@@ -194,13 +200,109 @@ TEST_F(StallTest, BaselineVsVscaleShareShiftSurvivesCsvRoundTrip) {
   EXPECT_GT(reg.Value("vscale.stall.dom0.frozen_ns"), 0);
 }
 
-TEST_F(StallTest, DisabledAccountantIgnoresHooks) {
-  // The macro gate is the only caller discipline; a direct call against an
-  // inactive accountant must also be harmless and record nothing.
-  VSCALE_STALL_HOOK(OnVcpuCreated(0, 0, 0));
-  VSCALE_STALL_HOOK(OnWake(0, 0, 50));
-  EXPECT_EQ(StallAccountant::Global().BucketNs(0, 0, StallBucket::kIdle), 0);
-  EXPECT_FALSE(StallAccountant::Global().active());
+TEST_F(StallTest, InactiveAccountantIgnoresHooks) {
+  // A bound accountant outside BeginRun/FinishRun must be harmless and record
+  // nothing.
+  StallAccountant& a = StallAccountant::Global();
+  a.OnVcpuCreated(0, 0, 0);
+  a.OnTransition(0, 0, 50, VcpuState::kBlocked, VcpuState::kRunnable);
+  EXPECT_EQ(a.BucketNs(0, 0, StallBucket::kIdle), 0);
+  EXPECT_FALSE(a.active());
+}
+
+// A hand-built two-domain machine (two OpenMP apps contending for two pCPUs)
+// whose observers are whatever the caller bound before any domain exists.
+struct ObservedRig {
+  explicit ObservedRig(const Observers& obs) : machine(Config()) {
+    machine.sim().observers() = obs;
+    Domain& primary = machine.CreateDomain("primary", 512, 2);
+    Domain& rival = machine.CreateDomain("rival", 512, 2);
+    primary_kernel = std::make_unique<GuestKernel>(machine, machine.sim(), primary,
+                                                   GuestConfig{});
+    rival_kernel = std::make_unique<GuestKernel>(machine, machine.sim(), rival,
+                                                 GuestConfig{});
+    primary_app = std::make_unique<OmpApp>(
+        *primary_kernel, NpbProfile("cg", 2, kSpinCountActive), 7);
+    rival_app = std::make_unique<OmpApp>(
+        *rival_kernel, NpbProfile("lu", 2, kSpinCountActive), 9);
+    primary_app->Start();
+    rival_app->Start();
+  }
+  static MachineConfig Config() {
+    MachineConfig mc;
+    mc.n_pcpus = 2;
+    mc.seed = 5;
+    return mc;
+  }
+
+  Machine machine;
+  std::unique_ptr<GuestKernel> primary_kernel;
+  std::unique_ptr<GuestKernel> rival_kernel;
+  std::unique_ptr<OmpApp> primary_app;
+  std::unique_ptr<OmpApp> rival_app;
+};
+
+struct Recording {
+  std::string trace;
+  std::string csv;
+};
+
+// Steps every rig to `end` in 1 ms rounds, alternating between them each round,
+// then finishes and exports the accountant of the first (observed) rig.
+Recording RunRigs(std::vector<ObservedRig*> rigs, Tracer& tracer,
+                  StallAccountant& acct) {
+  constexpr TimeNs kEnd = Milliseconds(300);
+  for (TimeNs t = Milliseconds(1); t <= kEnd; t += Milliseconds(1)) {
+    for (ObservedRig* rig : rigs) rig->machine.sim().RunUntil(t);
+  }
+  acct.FinishRun(kEnd, rigs[0]->machine.sim().observers());
+  Recording out;
+  std::ostringstream trace;
+  WriteChromeTrace(tracer, trace);
+  out.trace = trace.str();
+  std::ostringstream csv;
+  acct.WriteCsv(csv);
+  out.csv = csv.str();
+  return out;
+}
+
+TEST_F(StallTest, ObserversAreScopedToTheirSimulation) {
+  Recording solo;
+  {
+    Tracer tracer;
+    tracer.Enable();
+    StallAccountant acct;
+    acct.BeginRun("rig");
+    ObservedRig rig(Observers{&tracer, &acct, nullptr});
+    solo = RunRigs({&rig}, tracer, acct);
+  }
+  ASSERT_NE(solo.trace.find("\"run\""), std::string::npos);
+  ASSERT_NE(solo.trace.find("stall_running_ns"), std::string::npos);
+  ASSERT_NE(solo.csv.find("rig,"), std::string::npos);
+
+  // The same observed rig stepped in lockstep with an unobserved twin, while
+  // the process-wide tracer and accountant are live: neither hears the twin,
+  // and the observed rig's exports do not change by a byte.
+  GlobalTracer().Clear();
+  GlobalTracer().Enable();
+  StallAccountant::Global().BeginRun("global");
+  Recording paired;
+  {
+    Tracer tracer;
+    tracer.Enable();
+    StallAccountant acct;
+    acct.BeginRun("rig");
+    ObservedRig observed(Observers{&tracer, &acct, nullptr});
+    ObservedRig twin(Observers{});
+    paired = RunRigs({&observed, &twin}, tracer, acct);
+    EXPECT_GT(twin.machine.sim().events_processed(), 0u);
+  }
+  EXPECT_EQ(GlobalTracer().recorded(), 0u);
+  EXPECT_EQ(StallAccountant::Global().samples(), 0);
+  GlobalTracer().Disable();
+  GlobalTracer().Clear();
+  EXPECT_EQ(paired.trace, solo.trace);
+  EXPECT_EQ(paired.csv, solo.csv);
 }
 
 }  // namespace

@@ -80,13 +80,13 @@ void BuildWrappedTracer(Tracer& t) {
 void BuildTwoRowStall(StallAccountant& a) {
   a.BeginRun("xen_linux");
   a.OnVcpuCreated(0, 0, 0);
-  a.OnWake(0, 0, 100);
-  a.OnDispatch(0, 0, 250);
+  a.OnTransition(0, 0, 100, VcpuState::kBlocked, VcpuState::kRunnable);
+  a.OnTransition(0, 0, 250, VcpuState::kRunnable, VcpuState::kRunning);
   a.OnRunningAdvance(0, 0, 500);
   a.OnSpinAdvance(0, 0, 200);
   a.SetBlockReason(0, 0, StallBlockReason::kFutex);
-  a.OnDesched(0, 0, 750, /*to_runnable=*/false);
-  a.FinishRun(1000);
+  a.OnTransition(0, 0, 750, VcpuState::kRunning, VcpuState::kBlocked);
+  a.FinishRun(1000, Observers{});
 }
 
 TEST(TraceExportGoldenTest, EveryBranch) {
@@ -301,7 +301,6 @@ TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
   const std::string json = Export(GlobalTracer());
   GlobalTracer().Clear();
 
-#if VSCALE_TRACE
   TraceStats stats;
   std::string error;
   ASSERT_TRUE(ValidateChromeTrace(json, &error, &stats)) << error;
@@ -312,13 +311,6 @@ TEST(TraceExportTest, InstrumentedRunExportsAllLayers) {
   EXPECT_TRUE(stats.categories.count("vscale"));
   EXPECT_GE(stats.domain_pids.size(), 2u);
   EXPECT_GT(stats.events, 100u);
-#else
-  // Hooks compiled out: the export is valid but empty.
-  std::string error;
-  TraceStats stats;
-  ASSERT_TRUE(ValidateChromeTrace(json, &error, &stats)) << error;
-  EXPECT_EQ(stats.events, 0u);
-#endif
 }
 
 TEST(TraceExportTest, TracingDoesNotPerturbSimulation) {

@@ -1,10 +1,11 @@
 // Unit tests for the flight recorder core (src/base/trace.h) and the metrics
 // registry (src/base/metrics_registry.h): ring wraparound (copying and in-place
 // visits agree), category filtering,
-// timestamp rebasing, the disabled no-op guarantee, and gauge freezing.
+// timestamp rebasing, the null-observer no-op guarantee, and gauge freezing.
 
 #include "src/base/metrics_registry.h"
 #include "src/base/trace.h"
+#include "src/sim/event_queue.h"
 
 #include <memory>
 #include <sstream>
@@ -102,23 +103,56 @@ TEST(TracerTest, DisabledRecordsNothing) {
   EXPECT_STREQ(t.Snapshot()[0].name, "b");
 }
 
-TEST(TracerTest, MacrosAreNoOpsWhenGlobalTracerDisabled) {
+TEST(TracerTest, NullObserverHookIsANoOp) {
+  // An enabled process-wide tracer does not reach a simulation whose seam has
+  // no tracer bound: the hook idiom skips the call, and its arguments are
+  // never evaluated.
   GlobalTracer().Clear();
-  GlobalTracer().Disable();
-  EXPECT_FALSE(VSCALE_TRACE_ACTIVE());
+  GlobalTracer().Enable();
+  Simulator sim;
+  ASSERT_EQ(sim.observers().trace, nullptr);
   int evaluations = 0;
   auto expensive = [&] {
     ++evaluations;
     return 1;
   };
-  VSCALE_TRACE_INSTANT_ARG(0, TraceCategory::kSim, "x", -1, -1, -1, "v",
-                           expensive());
-  (void)expensive;  // unreferenced when hooks compile out
-  EXPECT_EQ(GlobalTracer().size(), 0u);
-#if VSCALE_TRACE
-  // Hooks compiled in: the gate must short-circuit before argument evaluation.
+  if (Tracer* tr = sim.observers().trace) {
+    tr->Instant(0, TraceCategory::kSim, "x", -1, -1, -1, "v", expensive());
+  }
+  sim.ScheduleAt(5, [] {});
+  sim.RunUntilIdle();  // the engine's own event_fire hook
   EXPECT_EQ(evaluations, 0);
-#endif
+  EXPECT_EQ(GlobalTracer().size(), 0u);
+
+  // Bound, the same engine hook records.
+  sim.observers().trace = &GlobalTracer();
+  sim.ScheduleAt(10, [] {});
+  sim.RunUntilIdle();
+  ASSERT_EQ(GlobalTracer().size(), 1u);
+  EXPECT_STREQ(GlobalTracer().Snapshot()[0].name, "event_fire");
+  GlobalTracer().Disable();
+  GlobalTracer().Clear();
+}
+
+TEST(TracerTest, HookSpellingsMapToPhases) {
+  Tracer t(8);
+  t.Enable();
+  t.Instant(1, TraceCategory::kGuest, "i", 0, 1, -1, "port", 3);
+  t.Begin(2, TraceCategory::kHypervisor, "run", 0, 1, 2);
+  t.End(3, TraceCategory::kHypervisor, "run", 0, 1, 2);
+  t.Counter(4, TraceCategory::kVscale, "c", 0, 9);
+  const auto events = t.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].phase, TracePhase::kInstant);
+  EXPECT_STREQ(events[0].arg_name, "port");
+  EXPECT_EQ(events[0].arg, 3);
+  EXPECT_EQ(events[1].phase, TracePhase::kBegin);
+  EXPECT_EQ(events[1].pcpu, 2);
+  EXPECT_EQ(events[2].phase, TracePhase::kEnd);
+  EXPECT_EQ(events[3].phase, TracePhase::kCounter);
+  EXPECT_EQ(events[3].vcpu, -1);
+  EXPECT_STREQ(events[3].arg_name, "value");
+  EXPECT_EQ(events[3].arg, 9);
 }
 
 TEST(TracerTest, RebasesTimestampsAcrossRuns) {

@@ -50,11 +50,6 @@ const std::vector<RuleDef>& AllRules() {
        "freeze-path layers (src/guest/, src/vscale/) never persist raw "
        "EventIds; own timers via PeriodicTask",
        rules::EventFreezePath},
-      // stall-attribution
-      {"stall-hook", "stall-attribution",
-       "every run-state mutation in machine.cc / kernel_sched.cc sits in a "
-       "function carrying a VSCALE_STALL_HOOK attribution",
-       rules::StallHook},
       // observability
       {"metric-docs", "observability",
        "every metric name registered in src/ appears in the docs",
@@ -63,7 +58,7 @@ const std::vector<RuleDef>& AllRules() {
        "every trace event name emitted in src/ appears in the docs",
        rules::TraceDocs},
       {"trace-pairing", "observability",
-       "VSCALE_TRACE_BEGIN/END slice names balance within each file",
+       "Tracer Begin/End slice names balance within each file",
        rules::TracePairing},
       {"cov-docs", "observability",
        "every coverage-point name in the kCoverPointNames catalogue table "

@@ -14,8 +14,7 @@
 //      unsuppressable).
 //
 // Rule families (selectable, so tools/det_lint stays a thin determinism-only
-// alias): determinism, event-lifecycle, stall-attribution, observability,
-// validate, meta. docs/CHECKING.md#vslint-the-protocol-lint carries the
+// alias): determinism, event-lifecycle, observability, validate, meta. docs/CHECKING.md#vslint-the-protocol-lint carries the
 // catalogue.
 
 #ifndef VSCALE_TOOLS_LINTLIB_ENGINE_H_

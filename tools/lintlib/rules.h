@@ -23,9 +23,6 @@ void FloatAccum(const Project&, std::vector<Finding>*);
 void EventOwner(const Project&, std::vector<Finding>*);
 void EventFreezePath(const Project&, std::vector<Finding>*);
 
-// stall-attribution family
-void StallHook(const Project&, std::vector<Finding>*);
-
 // observability family
 void MetricDocs(const Project&, std::vector<Finding>*);
 void TraceDocs(const Project&, std::vector<Finding>*);

@@ -4,8 +4,9 @@
 //
 //   metric-docs    — every metric-name string literal passed to Counter() /
 //                    RegisterGauge() in src/ must appear in the docs.
-//   trace-docs     — every event-name literal given to a VSCALE_TRACE_* macro
-//                    in src/ must appear in the docs.
+//   trace-docs     — every event-name literal given to a Tracer hook
+//                    (Instant/Begin/End/Counter) in src/ must appear in the
+//                    docs.
 //   trace-pairing  — kBegin/kEnd slice names must balance per file: the
 //                    exporter closes dangling slices silently, so an
 //                    unbalanced pair renders as a plausible-but-wrong
@@ -15,7 +16,9 @@
 //                    cov_report output, and the baseline gate all speak these
 //                    names (docs/FUZZING.md keeps the catalogue).
 
+#include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <map>
 #include <string>
 
@@ -55,6 +58,36 @@ size_t MatchParen(const std::vector<Token>& toks, size_t open) {
     ++j;
   }
   return j - 1;
+}
+
+// The event-name token of a Tracer hook call at `t` (`tr->Instant(ts, cat,
+// "name", ...)`, likewise Begin/End/Counter), or 0 when `t` is not one. The
+// name is the third argument and a lone string literal, so a one-argument
+// MetricsRegistry::Counter("...") never matches. `*close` receives the call's
+// closing paren, or `t` when no listed method is called at `t`.
+size_t TraceHookName(const std::vector<Token>& toks, size_t t,
+                     std::initializer_list<const char*> methods, size_t* close) {
+  *close = t;
+  if (toks[t].kind != Token::kIdent || toks[t + 1].kind != Token::kPunct ||
+      toks[t + 1].text != "(" ||
+      std::find(methods.begin(), methods.end(), toks[t].text) == methods.end()) {
+    return 0;
+  }
+  *close = MatchParen(toks, t + 1);
+  int depth = 1;
+  int arg = 0;
+  std::vector<size_t> third;
+  for (size_t j = t + 2; j < *close; ++j) {
+    if (toks[j].kind == Token::kPunct) {
+      depth += (toks[j].text == "(") - (toks[j].text == ")");
+      if (toks[j].text == "," && depth == 1) {
+        ++arg;
+        continue;
+      }
+    }
+    if (arg == 2) third.push_back(j);
+  }
+  return third.size() == 1 && toks[third[0]].kind == Token::kString ? third[0] : 0;
 }
 
 }  // namespace
@@ -98,40 +131,22 @@ void MetricDocs(const Project& project, std::vector<Finding>* out) {
 }
 
 void TraceDocs(const Project& project, std::vector<Finding>* out) {
-  static const char* kMacros[] = {"VSCALE_TRACE_INSTANT",
-                                  "VSCALE_TRACE_INSTANT_ARG",
-                                  "VSCALE_TRACE_BEGIN", "VSCALE_TRACE_END",
-                                  "VSCALE_TRACE_COUNTER"};
   for (const ParsedFile& pf : project.files) {
     if (!InSrc(pf.src.rel)) continue;
     const std::vector<Token>& toks = pf.src.tokens;
     for (size_t t = 0; t + 1 < toks.size(); ++t) {
-      if (toks[t].kind != Token::kIdent) continue;
-      bool is_macro = false;
-      for (const char* m : kMacros) {
-        if (toks[t].text == m) {
-          is_macro = true;
-          break;
-        }
-      }
-      if (!is_macro || toks[t + 1].kind != Token::kPunct ||
-          toks[t + 1].text != "(") {
-        continue;
-      }
-      const size_t close = MatchParen(toks, t + 1);
-      for (size_t j = t + 2; j < close; ++j) {
-        if (toks[j].kind != Token::kString) continue;
-        const std::string& name = toks[j].text;
-        if (project.docs_text.find(name) == std::string::npos) {
-          out->push_back({pf.src.rel, toks[j].line, "trace-docs",
-                          "trace event name '" + name +
-                              "' is emitted here but appears nowhere in the "
-                              "docs; add it to the trace schema table in "
-                              "docs/OBSERVABILITY.md"});
-        }
-        break;  // only the first string literal is the event name
-      }
+      size_t close = t;
+      const size_t n =
+          TraceHookName(toks, t, {"Instant", "Begin", "End", "Counter"}, &close);
       t = close;
+      if (n == 0) continue;
+      const std::string& name = toks[n].text;
+      if (project.docs_text.find(name) != std::string::npos) continue;
+      out->push_back({pf.src.rel, toks[n].line, "trace-docs",
+                      "trace event name '" + name +
+                          "' is emitted here but appears nowhere in the "
+                          "docs; add it to the trace schema table in "
+                          "docs/OBSERVABILITY.md"});
     }
   }
 }
@@ -188,20 +203,12 @@ void TracePairing(const Project& project, std::vector<Finding>* out) {
     // name -> {begin count, end count, first line seen}
     std::map<std::string, std::array<int, 3>> names;
     for (size_t t = 0; t + 1 < toks.size(); ++t) {
-      if (toks[t].kind != Token::kIdent) continue;
-      const bool is_begin = toks[t].text == "VSCALE_TRACE_BEGIN";
-      const bool is_end = toks[t].text == "VSCALE_TRACE_END";
-      if ((!is_begin && !is_end) || toks[t + 1].kind != Token::kPunct ||
-          toks[t + 1].text != "(") {
-        continue;
-      }
-      const size_t close = MatchParen(toks, t + 1);
-      for (size_t j = t + 2; j < close; ++j) {
-        if (toks[j].kind != Token::kString) continue;
-        auto& e = names[toks[j].text];
-        if (e[0] == 0 && e[1] == 0) e[2] = toks[j].line;
-        e[is_begin ? 0 : 1] += 1;
-        break;
+      size_t close = t;
+      const size_t n = TraceHookName(toks, t, {"Begin", "End"}, &close);
+      if (n != 0) {
+        auto& e = names[toks[n].text];
+        if (e[0] == 0 && e[1] == 0) e[2] = toks[n].line;
+        e[toks[t].text == "Begin" ? 0 : 1] += 1;
       }
       t = close;
     }

@@ -140,7 +140,7 @@ int RunSelfTest(bool full) {
     LintOptions det_meta;
     det_meta.families = {"determinism", "meta"};
     Case1("inactive-rule-marker-kept",
-          "int x = 0;  // vslint: allow(stall-hook, attributed at hv layer)\n",
+          "int x = 0;  // vslint: allow(trace-pairing, closed by the caller)\n",
           {}, det_meta);
   }
 
@@ -191,27 +191,6 @@ int RunSelfTest(bool full) {
         "}\n"}},
       "", All(), {});
 
-  // --- stall-attribution ----------------------------------------------------
-  failures += Expect(
-      "stall-hook-missing",
-      {{"src/guest/kernel_sched.cc",
-        "void KernelSched::Park(Thread* t) { t->state = ThreadState::kIdle; "
-        "}\n"}},
-      "", All(), {"stall-hook"});
-  failures += Expect(
-      "stall-hook-present",
-      {{"src/hypervisor/machine.cc",
-        "void Machine::Halt(Vcpu& v) {\n"
-        "  v.state = VcpuState::kHalted;\n"
-        "  VSCALE_STALL_HOOK(v, StallBucket::kHalt);\n"
-        "}\n"}},
-      "", All(), {});
-  failures += Expect(
-      "stall-hook-other-file-exempt",
-      {{"src/workloads/driver.cc",
-        "void Driver::Reset(Task* t) { t->state = TaskState::kNew; }\n"}},
-      "", All(), {});
-
   // --- observability --------------------------------------------------------
   failures += Expect(
       "metric-undocumented",
@@ -231,22 +210,29 @@ int RunSelfTest(bool full) {
         "void Init(MetricsRegistry& reg) { c_ = "
         "reg.Counter(\"vscale.widget_spins\"); }\n"}},
       "", All(), {});
-  failures += Expect(
-      "trace-undocumented",
-      {{"src/obs/spans.cc", "void F() { VSCALE_TRACE_INSTANT(\"warp_jump\"); "
-                            "}\n"}},
-      "", All(), {"trace-docs"});
+  const char* kWarpHook =
+      "void F(Tracer* tr) {\n"
+      "  tr->Instant(0, TraceCategory::kSim, \"warp_jump\", -1, -1, -1);\n"
+      "}\n";
+  failures += Expect("trace-undocumented", {{"src/obs/spans.cc", kWarpHook}},
+                     "", All(), {"trace-docs"});
+  failures += Expect("trace-documented", {{"src/obs/spans.cc", kWarpHook}},
+                     "trace events: warp_jump\n", All(), {});
+  failures += Expect("trace-outside-src-exempt",
+                     {{"tools/spans.cc", kWarpHook}}, "", All(), {});
   failures += Expect(
       "trace-unbalanced",
       {{"src/obs/spans.cc",
-        "void F() { VSCALE_TRACE_BEGIN(\"phase\"); }\n"}},
+        "void F(Tracer* tr) {\n"
+        "  tr->Begin(0, TraceCategory::kSim, \"phase\", -1, -1, -1);\n"
+        "}\n"}},
       "trace events: phase\n", All(), {"trace-pairing"});
   failures += Expect(
       "trace-balanced",
       {{"src/obs/spans.cc",
-        "void F() {\n"
-        "  VSCALE_TRACE_BEGIN(\"phase\");\n"
-        "  VSCALE_TRACE_END(\"phase\");\n"
+        "void F(Tracer* tr) {\n"
+        "  tr->Begin(0, TraceCategory::kSim, \"phase\", -1, -1, -1);\n"
+        "  tr->End(0, TraceCategory::kSim, \"phase\", -1, -1, -1);\n"
         "}\n"}},
       "trace events: phase\n", All(), {});
   const char* kCovTable =
@@ -318,12 +304,12 @@ int RunSelfTest(bool full) {
   // --- suppression of a semantic finding ------------------------------------
   failures += Expect(
       "semantic-allow-with-reason",
-      {{"src/guest/kernel_sched.cc",
-        "void KernelSched::Park(Thread* t) {\n"
-        "  // vslint: allow(stall-hook, accounted at the hv desched site)\n"
-        "  t->state = ThreadState::kIdle;\n"
+      {{"src/obs/spans.cc",
+        "void F(Tracer* tr) {\n"
+        "  // vslint: allow(trace-pairing, closed by the caller's End)\n"
+        "  tr->Begin(0, TraceCategory::kSim, \"phase\", -1, -1, -1);\n"
         "}\n"}},
-      "", All(), {});
+      "trace events: phase\n", All(), {});
 
   if (failures == 0) std::fprintf(stderr, "lint selftest: all cases pass\n");
   return failures;

@@ -2,8 +2,7 @@
 //
 // Where det_lint polices line-level determinism hygiene, vslint enforces the
 // cross-layer *protocols* the design docs promise: event lifecycle ownership,
-// stall-hook exhaustiveness, metric/trace documentation and pairing, and
-// validate-before-use. Rules run over a comment/string-aware token stream
+// metric/trace documentation and pairing, and validate-before-use. Rules run over a comment/string-aware token stream
 // with scope and function extents (tools/lintlib/), so they survive
 // formatting churn that would defeat grep.
 //
