@@ -1,5 +1,6 @@
 #include "src/base/check.h"
 
+#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -8,12 +9,15 @@ namespace vscale {
 
 namespace {
 
+// Per thread, so concurrent simulations (the oracle's replay) each report to
+// the handler installed around them.
 InvariantHandler& Handler() {
-  static InvariantHandler handler;  // empty = default print-and-abort
+  thread_local InvariantHandler handler;  // empty = default print-and-abort
   return handler;
 }
 
-uint64_t g_violations = 0;
+// Process-wide: counts every thread's violations.
+std::atomic<uint64_t> g_violations{0};
 
 }  // namespace
 

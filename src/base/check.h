@@ -46,12 +46,15 @@ struct InvariantViolation {
 // reports; production handlers should treat a violation as fatal.
 using InvariantHandler = std::function<void(const InvariantViolation&)>;
 
-// Installs `handler` and returns the previous one. Passing nullptr restores the
-// default print-and-abort behaviour.
+// Installs `handler` for the calling thread and returns that thread's previous
+// one. Passing nullptr restores the default print-and-abort behaviour. Each
+// thread starts with the default, so a simulation run on another thread
+// reports only to the handler installed there.
 InvariantHandler SetInvariantHandler(InvariantHandler handler);
 
-// Violations reported since process start / the last reset. Useful for
-// error-code style tests and for the digest harness's zero-violation check.
+// Violations reported on any thread since process start / the last reset.
+// Useful for error-code style tests and for the digest harness's
+// zero-violation check.
 uint64_t InvariantViolationCount();
 void ResetInvariantViolationCount();
 

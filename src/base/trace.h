@@ -123,6 +123,13 @@ class Tracer {
   uint64_t recorded() const { return recorded_; }
   // Events overwritten by ring wraparound.
   uint64_t dropped() const { return recorded_ - count_; }
+  // True on the first call that finds dropped events, false ever after: an
+  // exporter warns about a truncated timeline once per tracer.
+  bool TakeDropWarning() const {
+    if (drop_warned_ || dropped() == 0) return false;
+    drop_warned_ = true;
+    return true;
+  }
 
   // Calls fn(const TraceEvent&) on each retained event, oldest-first, reading
   // the ring in place (exporters stream from here without copying the buffer).
@@ -153,6 +160,7 @@ class Tracer {
   TimeNs rebase_offset_ = 0;  // added to incoming ts so buffer time never regresses
   TimeNs last_ts_ = 0;
   std::map<int, std::string> domain_names_;
+  mutable bool drop_warned_ = false;
 };
 
 // The process-wide tracer harnesses bind to the simulations they trace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,13 +43,15 @@ struct RunOutcome {
   TimeNs end_time = 0;
 };
 
-// Captures invariant reports instead of aborting, so a failing scenario is a
-// verdict for the fuzz loop rather than the end of the process.
+// Captures the calling thread's invariant reports instead of aborting, so a
+// failing scenario is a verdict for the fuzz loop rather than the end of the
+// process. Counts its own reports: a concurrent run on another thread bumps
+// the process-wide counter too.
 class CaptureViolations {
  public:
-  CaptureViolations() : start_count_(InvariantViolationCount()) {
+  CaptureViolations() {
     prev_ = SetInvariantHandler([this](const InvariantViolation& v) {
-      if (first_.empty()) {
+      if (count_++ == 0) {
         first_ = std::string(v.expr) + " (" + v.file + ":" +
                  std::to_string(v.line) + "): " + v.message;
       }
@@ -56,22 +59,24 @@ class CaptureViolations {
   }
   ~CaptureViolations() { SetInvariantHandler(std::move(prev_)); }
 
-  uint64_t count() const { return InvariantViolationCount() - start_count_; }
+  uint64_t count() const { return count_; }
   const std::string& first() const { return first_; }
 
  private:
-  uint64_t start_count_;
+  uint64_t count_ = 0;
   std::string first_;
   InvariantHandler prev_;
 };
 
+// One run of the scenario. The run owns its observers and metrics, so two
+// runs may proceed on two threads at once.
 RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
   s.Validate();
   RunOutcome out;
-  MetricsRegistry::Global().Clear();
-  StallAccountant::Global().Reset();
-  CoverageMap::Global().Reset();
   CaptureViolations captured;
+  StallAccountant stall;
+  CoverageMap coverage;
+  MetricsRegistry metrics;
 
   {
     TestbedConfig cfg = s.config;
@@ -84,7 +89,7 @@ RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
     if (g_fairness_canary && !cfg.antagonists.empty()) {
       cfg.hardening = HardeningConfig{};
     }
-    Testbed bed(cfg);
+    Testbed bed(cfg, {.stall = &stall, .cover = &coverage, .metrics = metrics});
 
     // Fairness oracle (docs/ADVERSARIAL.md): armed only when the scenario has
     // antagonists AND hardening on — with mitigations off, the stock scheduler
@@ -256,15 +261,11 @@ RunOutcome RunScenarioOnce(const Scenario& s, uint64_t testbed_seed) {
     out.digest = digest.value();
   }  // Testbed dtor: stall FinishRun + coverage FinishRun + gauge freeze
 
-  out.stall_samples = StallAccountant::Global().samples();
-  out.stall_failures = StallAccountant::Global().exhaustive_failures();
-  out.coverage = CoverageMap::Global().Vector();
+  out.stall_samples = stall.samples();
+  out.stall_failures = stall.exhaustive_failures();
+  out.coverage = coverage.Vector();
   out.violations = captured.count();
   out.first_violation = captured.first();
-
-  StallAccountant::Global().Reset();
-  CoverageMap::Global().Reset();
-  MetricsRegistry::Global().Clear();
   return out;
 }
 
@@ -275,46 +276,11 @@ std::string Hex16(uint64_t v) {
   return std::string(buf);
 }
 
-}  // namespace
-
-const char* ToString(OracleVerdict v) {
-  switch (v) {
-    case OracleVerdict::kPass:
-      return "pass";
-    case OracleVerdict::kInvariantViolation:
-      return "invariant-violation";
-    case OracleVerdict::kStallNonExhaustive:
-      return "stall-non-exhaustive";
-    case OracleVerdict::kNotificationLost:
-      return "notification-lost";
-    case OracleVerdict::kNonTermination:
-      return "non-termination";
-    case OracleVerdict::kWatchdogNoRecovery:
-      return "watchdog-no-recovery";
-    case OracleVerdict::kFairnessViolation:
-      return "fairness-violation";
-    case OracleVerdict::kDigestDivergence:
-      return "digest-divergence";
-  }
-  return "?";
-}
-
-CoverageVector RunCoverageOnce(const Scenario& s) {
-  s.Validate();
-  return RunScenarioOnce(s, s.seed).coverage;
-}
-
-void SetFuzzCanary(bool enabled) { g_fuzz_canary = enabled; }
-bool FuzzCanaryEnabled() { return g_fuzz_canary; }
-
-void SetFairnessCanary(bool enabled) { g_fairness_canary = enabled; }
-bool FairnessCanaryEnabled() { return g_fairness_canary; }
-
-OracleReport RunOracle(const Scenario& s) {
-  s.Validate();
+// The verdicts one run decides, in RunOracle's precedence order: the first
+// that fails, or kPass. The determinism gate needs a second run and is left
+// to RunOracle.
+OracleReport FirstRunReport(const Scenario& s, const RunOutcome& run1) {
   OracleReport report;
-
-  const RunOutcome run1 = RunScenarioOnce(s, s.seed);
   report.digest1 = run1.digest;
   report.end_time = run1.end_time;
   report.coverage = run1.coverage;
@@ -353,8 +319,52 @@ OracleReport RunOracle(const Scenario& s) {
   if (run1.fairness_violated) {
     report.verdict = OracleVerdict::kFairnessViolation;
     report.detail = run1.fairness_detail;
-    return report;
   }
+  return report;
+}
+
+}  // namespace
+
+const char* ToString(OracleVerdict v) {
+  switch (v) {
+    case OracleVerdict::kPass:
+      return "pass";
+    case OracleVerdict::kInvariantViolation:
+      return "invariant-violation";
+    case OracleVerdict::kStallNonExhaustive:
+      return "stall-non-exhaustive";
+    case OracleVerdict::kNotificationLost:
+      return "notification-lost";
+    case OracleVerdict::kNonTermination:
+      return "non-termination";
+    case OracleVerdict::kWatchdogNoRecovery:
+      return "watchdog-no-recovery";
+    case OracleVerdict::kFairnessViolation:
+      return "fairness-violation";
+    case OracleVerdict::kDigestDivergence:
+      return "digest-divergence";
+  }
+  return "?";
+}
+
+CoverageVector RunCoverageOnce(const Scenario& s) {
+  s.Validate();
+  return RunScenarioOnce(s, s.seed).coverage;
+}
+
+void SetFuzzCanary(bool enabled) { g_fuzz_canary = enabled; }
+bool FuzzCanaryEnabled() { return g_fuzz_canary; }
+
+void SetFairnessCanary(bool enabled) { g_fairness_canary = enabled; }
+bool FairnessCanaryEnabled() { return g_fairness_canary; }
+
+OracleReport RunOracleOnce(const Scenario& s) {
+  s.Validate();
+  return FirstRunReport(s, RunScenarioOnce(s, s.seed));
+}
+
+OracleReport RunOracle(const Scenario& s) {
+  s.Validate();
 
   // Determinism gate: the identical scenario must replay bit-identically. The
   // canary fault models a seed leak on the daemon-crash path (test-only).
@@ -367,14 +377,27 @@ OracleReport RunOracle(const Scenario& s) {
       }
     }
   }
-  const RunOutcome run2 = RunScenarioOnce(s, seed2);
+  // The replay runs beside the first run, under the caller's invariant
+  // handler as the first run is. Its outcome is read only where the verdicts
+  // before it all passed; otherwise the future's destructor joins it and the
+  // outcome is discarded.
+  InvariantHandler caller_handler = SetInvariantHandler(nullptr);
+  SetInvariantHandler(caller_handler);
+  std::future<RunOutcome> replay =
+      std::async(std::launch::async, [&s, seed2, caller_handler] {
+        SetInvariantHandler(caller_handler);
+        return RunScenarioOnce(s, seed2);
+      });
+  OracleReport report = FirstRunReport(s, RunScenarioOnce(s, s.seed));
+  if (report.failed()) return report;
+
+  const RunOutcome run2 = replay.get();
   report.digest2 = run2.digest;
-  report.coverage_stable = run1.coverage == run2.coverage;
-  if (run1.digest != run2.digest) {
+  report.coverage_stable = report.coverage == run2.coverage;
+  if (report.digest1 != run2.digest) {
     report.verdict = OracleVerdict::kDigestDivergence;
     report.detail =
-        "run1=" + Hex16(run1.digest) + " run2=" + Hex16(run2.digest);
-    return report;
+        "run1=" + Hex16(report.digest1) + " run2=" + Hex16(run2.digest);
   }
   return report;
 }

@@ -85,15 +85,26 @@ struct OracleReport {
 
 // Runs `s` twice (the digest double-run) with all oracles armed and returns
 // the first failing verdict, or kPass. The scenario must be Validate()-legal.
-// Global state contract: the metrics registry and the stall accountant are
-// cleared before and after; the installed invariant handler is saved and
-// restored. Callers can interleave oracle runs with anything.
+// The second run executes on its own thread, concurrently with the first.
+// Each run owns its stall accountant, coverage map and metrics registry and
+// captures its thread's invariant reports, so no process-wide observer is
+// touched and concurrent RunOracle calls on different threads are safe. The
+// canary switches below must be set before any call starts.
 OracleReport RunOracle(const Scenario& s);
+
+// RunOracle without the determinism replay: one run on the calling thread,
+// every verdict in the same precedence except kDigestDivergence, which needs
+// the second run (a scenario that only diverges reads kPass). For a caller
+// that waits on any other verdict the answer is RunOracle's, at one run's
+// cost: the shrinker keeping such a verdict, the fairness canary's stripped
+// run.
+OracleReport RunOracleOnce(const Scenario& s);
 
 // Single-run coverage probe: runs `s` once with every observer armed and
 // returns its coverage vector, skipping the verdict battery and the digest
-// double-run. Half the cost of RunOracle — what the coverage-guided sweep and
-// fuzz_run --cov-check use to measure a budget's frontier.
+// double-run. Half the CPU cost of RunOracle, on one thread — what the
+// coverage-guided sweep and fuzz_run --cov-check use to measure a budget's
+// frontier.
 CoverageVector RunCoverageOnce(const Scenario& s);
 
 // Test-only planted bug ("canary"): when enabled, the oracle deliberately

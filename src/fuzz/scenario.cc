@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "src/base/check.h"
 
@@ -28,32 +30,30 @@ std::string WorkloadLine(const WorkloadSpec& w) {
   return out;
 }
 
-bool ParseI64(const std::string& s, int64_t* out) {
+// Decimal integers; a value outside the type's range is a parse error rather
+// than a wrapped (or, for int64_t, undefined) result.
+bool ParseU64(std::string_view s, uint64_t* out) {
   if (s.empty()) return false;
-  size_t i = 0;
-  bool neg = false;
-  if (s[0] == '-') {
-    neg = true;
-    i = 1;
-    if (s.size() == 1) return false;
-  }
-  int64_t v = 0;
-  for (; i < s.size(); ++i) {
-    if (s[i] < '0' || s[i] > '9') return false;
-    v = v * 10 + (s[i] - '0');
-  }
-  *out = neg ? -v : v;
-  return true;
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
+    const uint64_t d = static_cast<uint64_t>(c - '0');
+    if (v > (kMax - d) / 10) return false;
+    v = v * 10 + d;
   }
   *out = v;
+  return true;
+}
+
+bool ParseI64(const std::string& s, int64_t* out) {
+  const bool neg = !s.empty() && s[0] == '-';
+  uint64_t mag = 0;
+  if (!ParseU64(std::string_view(s).substr(neg ? 1 : 0), &mag)) return false;
+  // |INT64_MIN| is one more than INT64_MAX.
+  constexpr uint64_t kMaxMag = std::numeric_limits<int64_t>::max();
+  if (mag > kMaxMag + (neg ? 1 : 0)) return false;
+  *out = neg ? static_cast<int64_t>(0 - mag) : static_cast<int64_t>(mag);
   return true;
 }
 

@@ -9,16 +9,17 @@ namespace vscale {
 
 namespace {
 
-// Non-aborting legality probe: swallow violation reports, count the delta.
-// Shrink moves routinely produce illegal candidates (a halved horizon can
-// strand a fault window); those are rejected here for free.
+// Non-aborting legality probe: count this thread's violation reports (the
+// process-wide counter also sees other threads' runs). Shrink moves routinely
+// produce illegal candidates (a halved horizon can strand a fault window);
+// those are rejected here for free.
 bool IsLegal(const Scenario& s) {
-  const uint64_t before = InvariantViolationCount();
+  int reports = 0;
   InvariantHandler prev =
-      SetInvariantHandler([](const InvariantViolation&) {});
+      SetInvariantHandler([&reports](const InvariantViolation&) { ++reports; });
   s.Validate();
   SetInvariantHandler(std::move(prev));
-  return InvariantViolationCount() == before;
+  return reports == 0;
 }
 
 class Shrinker {
@@ -26,10 +27,15 @@ class Shrinker {
   Shrinker(OracleVerdict verdict, int budget) : verdict_(verdict), budget_(budget) {}
 
   // Same-verdict acceptance: legal, within budget, and failing identically.
+  // Only a kept kDigestDivergence needs the replay; RunOracleOnce gives the
+  // same answer for every other verdict at one run's cost.
   bool Accept(const Scenario& cand) {
     if (runs_ >= budget_ || !IsLegal(cand)) return false;
     ++runs_;
-    if (RunOracle(cand).verdict != verdict_) return false;
+    const OracleReport report = verdict_ == OracleVerdict::kDigestDivergence
+                                    ? RunOracle(cand)
+                                    : RunOracleOnce(cand);
+    if (report.verdict != verdict_) return false;
     ++accepted_;
     return true;
   }

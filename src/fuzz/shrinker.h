@@ -27,13 +27,14 @@
 namespace vscale {
 
 struct ShrinkStats {
-  int oracle_runs = 0;  // RunOracle invocations spent (2 sim runs each)
+  int oracle_runs = 0;  // oracle calls spent (see ShrinkScenario)
   int accepted = 0;     // reduction moves that kept the verdict
 };
 
 // Minimizes `failing` (which must currently produce `verdict`) within a budget
-// of `max_oracle_runs` RunOracle calls. Returns the smallest accepted
-// scenario; `failing` itself if nothing shrank. `stats` may be null.
+// of `max_oracle_runs` oracle calls: RunOracle (two sim runs) when `verdict`
+// is kDigestDivergence, RunOracleOnce (one) otherwise. Returns the smallest
+// accepted scenario; `failing` itself if nothing shrank. `stats` may be null.
 Scenario ShrinkScenario(const Scenario& failing, OracleVerdict verdict,
                         int max_oracle_runs = 200, ShrinkStats* stats = nullptr);
 

@@ -287,11 +287,9 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& os) {
 bool WriteChromeTraceFile(const Tracer& tracer, const std::string& path,
                           std::string* error) {
   // Ring overflow silently truncates the trace's oldest window; surface it once
-  // per process so nobody reads a partial timeline as a complete one. The same
+  // per tracer so nobody reads a partial timeline as a complete one. The same
   // figure is queryable as the trace.events_dropped gauge.
-  static bool warned_dropped = false;
-  if (!warned_dropped && tracer.dropped() > 0) {
-    warned_dropped = true;
+  if (tracer.TakeDropWarning()) {
     std::fprintf(stderr,
                  "trace: WARNING: ring dropped %llu events; %s starts "
                  "mid-timeline (raise Tracer::SetCapacity to keep the full "

@@ -153,9 +153,16 @@ class Simulator {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  // Min-heap order: earliest (when, seq) at the root.
+  // Min-heap order: earliest (when, seq) at the root. One 128-bit comparison
+  // of `when` (sign bit flipped, so signed order survives) over `seq`: no
+  // data-dependent branch for the predictor to miss.
+  using Key = unsigned __int128;
+  static Key OrderKey(const HeapEntry& e) {
+    const uint64_t when = static_cast<uint64_t>(e.when) ^ (uint64_t{1} << 63);
+    return (static_cast<Key>(when) << 64) | e.seq;
+  }
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    return OrderKey(a) < OrderKey(b);
   }
 
   bool Stale(const HeapEntry& e) const { return NodeAt(e.slot).gen != e.gen; }
@@ -280,17 +287,21 @@ inline void Simulator::SiftUp(size_t i) {
 inline void Simulator::SiftDown(size_t i) {
   const size_t n = heap_.size();
   const HeapEntry e = heap_[i];
-  while (true) {
-    size_t child = 2 * i + 1;
-    if (child >= n) {
-      break;
-    }
-    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) {
-      ++child;
-    }
+  size_t child = 2 * i + 1;
+  // Nodes with two children: the smaller child is picked by adding the
+  // comparison result, not by a branch.
+  while (child + 1 < n) {
+    child += static_cast<size_t>(Earlier(heap_[child + 1], heap_[child]));
     if (!Earlier(heap_[child], e)) {
-      break;
+      heap_[i] = e;
+      return;
     }
+    heap_[i] = heap_[child];
+    i = child;
+    child = 2 * i + 1;
+  }
+  // At most one node, the last parent, has a single child.
+  if (child < n && Earlier(heap_[child], e)) {
     heap_[i] = heap_[child];
     i = child;
   }

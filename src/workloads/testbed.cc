@@ -1,5 +1,7 @@
 #include "src/workloads/testbed.h"
 
+#include <utility>
+
 #include "src/base/check.h"
 #include "src/base/metrics_registry.h"
 #include "src/base/trace.h"
@@ -96,7 +98,16 @@ void TestbedConfig::Validate() const {
   }
 }
 
-Testbed::Testbed(TestbedConfig config) : config_(config) {
+// vslint: allow(validate-before-use, the delegated constructor validates)
+Testbed::Testbed(TestbedConfig config)
+    : Testbed(std::move(config),
+              {.trace = GlobalTracer().enabled() ? &GlobalTracer() : nullptr,
+               .stall = &StallAccountant::Global(),
+               .cover = &CoverageMap::Global(),
+               .metrics = MetricsRegistry::Global()}) {}
+
+Testbed::Testbed(TestbedConfig config, RunSinks sinks)
+    : config_(std::move(config)), metrics_(sinks.metrics) {
   config_.Validate();
   if (config_.pool_pcpus <= 0) {
     config_.pool_pcpus = 12;
@@ -111,20 +122,22 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
 
   // Arm the stall accountant before the machine exists so the per-vCPU birth
   // hooks in CreateDomain land in this run's timeline.
-  const bool stall = config_.stall_accounting || g_stall_accounting_default;
-  if (stall) {
-    StallAccountant::Global().BeginRun(
-        SanitizeMetricName(ToString(config_.policy)));
+  StallAccountant* stall =
+      config_.stall_accounting || g_stall_accounting_default ? sinks.stall
+                                                             : nullptr;
+  if (stall != nullptr) {
+    stall->BeginRun(SanitizeMetricName(ToString(config_.policy)));
   }
 
   // Arm the coverage map alongside, and bin the resolved scenario shape while
   // the config is in hand (the domain count includes desktops + antagonists).
-  const bool cover = config_.coverage || g_coverage_default;
-  if (cover) {
-    CoverageMap::Global().BeginRun();
+  CoverageMap* cover =
+      config_.coverage || g_coverage_default ? sinks.cover : nullptr;
+  if (cover != nullptr) {
+    cover->BeginRun();
     const int domains = 1 + config_.background_vms +
                         static_cast<int>(config_.antagonists.size());
-    CoverageMap::Global().RecordShape(
+    cover->RecordShape(
         static_cast<int>(config_.policy), domains, config_.primary_vcpus,
         /*dedicated=*/config_.background_vms == 0,
         /*antagonist=*/!config_.antagonists.empty(),
@@ -138,12 +151,9 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   mc.acct_time_based = config_.hardening.acct_time_based;
   mc.boost_budget = config_.hardening.boost_budget;
   machine_ = std::make_unique<Machine>(mc);
-  // The one place harness runs bind their observers. The global tracer records
-  // this run only if a harness enabled it before constructing the testbed.
+  // The one place harness runs bind their observers.
   machine_->sim().observers() = {
-      .trace = GlobalTracer().enabled() ? &GlobalTracer() : nullptr,
-      .stall = stall ? &StallAccountant::Global() : nullptr,
-      .cover = cover ? &CoverageMap::Global() : nullptr};
+      .trace = sinks.trace, .stall = stall, .cover = cover};
 
   GuestConfig gc;
   gc.pv_spinlock = PolicyUsesPvlock(config_.policy);
@@ -278,8 +288,8 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   // Expose the canonical statistics by name. The prefix separates policies when one
   // process runs several testbeds; same-policy reruns overwrite (last run wins).
   const std::string prefix = SanitizeMetricName(ToString(config_.policy)) + ".";
-  RegisterMachineMetrics(MetricsRegistry::Global(), *machine_, prefix);
-  MetricsRegistry& reg = MetricsRegistry::Global();
+  MetricsRegistry& reg = metrics_;
+  RegisterMachineMetrics(reg, *machine_, prefix);
   if (injector_ != nullptr) {
     FaultInjector* inj = injector_.get();
     reg.RegisterGauge(prefix + "faults.events_started",
@@ -340,7 +350,7 @@ Testbed::~Testbed() {
     // Close the stall timeline at the machine's final time and publish the
     // totals before gauge freezing, so one metrics CSV carries both.
     acct->FinishRun(sim().Now(), obs);
-    acct->PublishMetrics(MetricsRegistry::Global(),
+    acct->PublishMetrics(metrics_,
                          SanitizeMetricName(ToString(config_.policy)) + ".");
   }
   if (CoverageMap* cov = obs.cover) {
@@ -348,13 +358,13 @@ Testbed::~Testbed() {
     // land in this run's vector; publish the per-run coverage vector as cov.*
     // counters, then finish the run. Counts stay readable (CoverageMap::Vector)
     // until the next BeginRun — the oracle harvests them post-destruction.
-    cov->PublishMetrics(MetricsRegistry::Global(),
+    cov->PublishMetrics(metrics_,
                         SanitizeMetricName(ToString(config_.policy)) + ".");
     cov->FinishRun();
   }
   // Gauges registered above hold references into this machine: materialize their
   // final values before teardown so later WriteCsv() calls stay valid.
-  MetricsRegistry::Global().FreezeGauges();
+  metrics_.FreezeGauges();
 }
 
 bool Testbed::RunUntil(const std::function<bool()>& stop, TimeNs deadline) {

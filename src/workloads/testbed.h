@@ -23,6 +23,8 @@
 
 namespace vscale {
 
+class MetricsRegistry;
+
 // The four evaluation configurations of the paper's section 5.2.1.
 enum class Policy {
   kBaseline,        // vanilla Xen/Linux
@@ -153,9 +155,24 @@ struct TestbedConfig {
   void Validate() const;
 };
 
+// Where one Testbed's observers and metrics go. The flags in TestbedConfig (or
+// the harness defaults) still decide whether stall accounting and coverage are
+// on; these say which objects they write. A run whose sinks are its own shares
+// nothing with another run, so two such runs may proceed on two threads.
+struct RunSinks {
+  Tracer* trace = nullptr;  // null = not traced
+  StallAccountant* stall = nullptr;
+  CoverageMap* cover = nullptr;
+  MetricsRegistry& metrics;  // gauges and published totals
+};
+
 class Testbed {
  public:
+  // Binds the process-wide sinks: GlobalTracer() when it is enabled,
+  // StallAccountant::Global(), CoverageMap::Global() and
+  // MetricsRegistry::Global().
   explicit Testbed(TestbedConfig config);
+  Testbed(TestbedConfig config, RunSinks sinks);
   ~Testbed();
 
   Testbed(const Testbed&) = delete;
@@ -203,6 +220,7 @@ class Testbed {
 
  private:
   TestbedConfig config_;
+  MetricsRegistry& metrics_;
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<GuestKernel> primary_kernel_;
   std::vector<std::unique_ptr<GuestKernel>> background_kernels_;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/check.h"
@@ -25,6 +26,31 @@
 
 namespace vscale {
 namespace {
+
+// VS_REQUIRE reports in every build flavour, so handler scoping is tested in
+// both.
+TEST(CheckTest, HandlersArePerThreadAndTheCountIsProcessWide) {
+  const uint64_t before = InvariantViolationCount();
+  std::vector<std::string> here;
+  InvariantHandler previous = SetInvariantHandler(
+      [&here](const InvariantViolation& v) { here.push_back(v.message); });
+
+  std::vector<std::string> there;
+  std::thread other([&there] {
+    SetInvariantHandler(
+        [&there](const InvariantViolation& v) { there.push_back(v.message); });
+    VS_REQUIRE(false, "raised on the other thread");
+    SetInvariantHandler(nullptr);
+  });
+  other.join();
+  VS_REQUIRE(false, "raised on this thread");
+  SetInvariantHandler(previous);
+
+  EXPECT_EQ(here, std::vector<std::string>{"raised on this thread"});
+  EXPECT_EQ(there, std::vector<std::string>{"raised on the other thread"});
+  EXPECT_EQ(InvariantViolationCount() - before, 2u);
+  ResetInvariantViolationCount();
+}
 
 #if !VSCALE_CHECKED
 

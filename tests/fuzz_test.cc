@@ -2,11 +2,16 @@
 // generator legality and determinism, the .scenario canonical-text round-trip,
 // parser error reporting, the oracle battery's pass/fail decisions, and the
 // shrinker's same-verdict minimization — including the planted canary bug the
-// fuzz_canary ctest entry hunts end to end.
+// fuzz_canary ctest entry hunts end to end — and the isolation of concurrent
+// oracle runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/check.h"
@@ -145,6 +150,21 @@ TEST(ScenarioTextTest, ParseErrorsNameTheLineAndToken) {
        "unknown workload kind \"gpu\""},
       {"vscale-scenario v1\nfaults crash@1s\n", "bad fault plan"},
       {"vscale-scenario v1\nseed -1\n", "bad uint64 for seed"},
+      // Out-of-range integers are rejected, not wrapped.
+      {"vscale-scenario v1\nseed 18446744073709551616\n",
+       "bad uint64 for seed"},
+      {"vscale-scenario v1\nfault_seed 99999999999999999999\n",
+       "bad uint64 for fault_seed"},
+      {"vscale-scenario v1\nhorizon_ns 9223372036854775808\n",
+       "bad integer value for horizon_ns"},
+      {"vscale-scenario v1\nhorizon_ns -9223372036854775809\n",
+       "bad integer value for horizon_ns"},
+      {"vscale-scenario v1\nhorizon_ns 123456789012345678901234567890\n",
+       "bad integer value for horizon_ns"},
+      {"vscale-scenario v1\nworkload omp app=lu intervals=99999999999999999999\n",
+       "unknown or malformed workload token"},
+      {"vscale-scenario v1\nantagonist churn period_ns=-99999999999999999999\n",
+       "bad antagonist token"},
   };
   for (const auto& c : kCases) {
     Scenario out = GenerateScenario(1);
@@ -156,6 +176,20 @@ TEST(ScenarioTextTest, ParseErrorsNameTheLineAndToken) {
     // Failed parses leave the output scenario untouched.
     EXPECT_EQ(out.ToString(), before);
   }
+}
+
+TEST(ScenarioTextTest, ParseAcceptsTheFullIntegerRange) {
+  Scenario s;
+  std::string error;
+  ASSERT_TRUE(ParseScenario("vscale-scenario v1\n"
+                            "seed 18446744073709551615\n"
+                            "horizon_ns -9223372036854775808\n"
+                            "crunch_ns 9223372036854775807\n",
+                            &s, &error))
+      << error;
+  EXPECT_EQ(s.seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(s.horizon, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(s.config.crunch_mean, std::numeric_limits<int64_t>::max());
 }
 
 TEST(ScenarioTextTest, ValidateRejectsUntrustworthyScenarios) {
@@ -240,6 +274,106 @@ TEST(OracleTest, CanaryBitesOnlyCrashScenariosAndOnlyWhenArmed) {
   EXPECT_NE(report.digest1, report.digest2);
   // The canary keys on the daemon-crash fault, so non-crash plans stay clean.
   EXPECT_EQ(RunOracle(benign).verdict, OracleVerdict::kPass);
+}
+
+// --- per-run isolation ------------------------------------------------------
+
+std::vector<Scenario> CorpusScenarios() {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(VSCALE_FUZZ_CORPUS_DIR)) {
+    if (entry.path().extension() == ".scenario") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<Scenario> out;
+  for (const std::string& path : paths) {
+    Scenario s;
+    std::string error;
+    EXPECT_TRUE(LoadScenarioFile(path, &s, &error)) << path << ": " << error;
+    out.push_back(s);
+  }
+  return out;
+}
+
+void ExpectSameReport(const OracleReport& a, const OracleReport& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.verdict, b.verdict) << what;
+  EXPECT_EQ(a.detail, b.detail) << what;
+  EXPECT_EQ(a.digest1, b.digest1) << what;
+  EXPECT_EQ(a.digest2, b.digest2) << what;
+  EXPECT_EQ(a.end_time, b.end_time) << what;
+  EXPECT_EQ(a.coverage, b.coverage) << what;
+  EXPECT_EQ(a.coverage_stable, b.coverage_stable) << what;
+}
+
+TEST(OracleIsolationTest, ConcurrentOracleCallsMatchSequentialOnes) {
+  const std::vector<Scenario> corpus = CorpusScenarios();
+  ASSERT_FALSE(corpus.empty());
+  std::vector<OracleReport> sequential;
+  for (const Scenario& s : corpus) sequential.push_back(RunOracle(s));
+
+  // Two callers at once, each with its own replay thread: four simulations
+  // in flight, none of which may see another's observers or metrics.
+  std::vector<OracleReport> first(corpus.size());
+  std::vector<OracleReport> second(corpus.size());
+  std::thread a([&] {
+    for (size_t i = 0; i < corpus.size(); ++i) first[i] = RunOracle(corpus[i]);
+  });
+  std::thread b([&] {
+    for (size_t i = 0; i < corpus.size(); ++i) second[i] = RunOracle(corpus[i]);
+  });
+  a.join();
+  b.join();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const std::string what = "corpus scenario " + std::to_string(i);
+    ExpectSameReport(first[i], sequential[i], what + ", thread a");
+    ExpectSameReport(second[i], sequential[i], what + ", thread b");
+  }
+}
+
+TEST(OracleIsolationTest, OracleCoverageIsTheSingleRunCoverage) {
+  for (const Scenario& s : CorpusScenarios()) {
+    const OracleReport report = RunOracle(s);
+    EXPECT_EQ(report.coverage, RunCoverageOnce(s)) << s.ToString();
+    EXPECT_TRUE(report.coverage_stable) << s.ToString();
+  }
+}
+
+TEST(OracleIsolationTest, OnceAgreesWithTheOracleOnEveryVerdictButDivergence) {
+  // Passing scenarios, and (fairness canary armed) the hardened antagonist
+  // ones failing kFairnessViolation: same verdict, detail and first run.
+  std::vector<Scenario> cases = CorpusScenarios();
+  const size_t passing = cases.size();
+  for (const Scenario& s : CorpusScenarios()) {
+    if (!s.config.antagonists.empty() && s.config.hardening.AnyEnabled()) {
+      cases.push_back(s);
+    }
+  }
+  ASSERT_GT(cases.size(), passing);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SetFairnessCanary(i >= passing);
+    const OracleReport full = RunOracle(cases[i]);
+    const OracleReport once = RunOracleOnce(cases[i]);
+    SetFairnessCanary(false);
+    EXPECT_EQ(full.verdict, i >= passing ? OracleVerdict::kFairnessViolation
+                                         : OracleVerdict::kPass);
+    EXPECT_EQ(once.verdict, full.verdict) << cases[i].ToString();
+    EXPECT_EQ(once.detail, full.detail);
+    EXPECT_EQ(once.digest1, full.digest1);
+    EXPECT_EQ(once.end_time, full.end_time);
+    EXPECT_EQ(once.coverage, full.coverage);
+    EXPECT_EQ(once.digest2, 0u);
+  }
+
+  // A divergence needs the replay: one run alone reads it as a pass.
+  ArmedCanary armed;
+  Scenario s = TinyScenario(41);
+  s.config.faults.Add(FaultKind::kDaemonCrash, Milliseconds(500),
+                      Milliseconds(200));
+  EXPECT_EQ(RunOracle(s).verdict, OracleVerdict::kDigestDivergence);
+  EXPECT_EQ(RunOracleOnce(s).verdict, OracleVerdict::kPass);
 }
 
 // --- shrinker --------------------------------------------------------------

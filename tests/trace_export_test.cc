@@ -7,6 +7,7 @@
 #include "src/metrics/trace_export.h"
 #include "src/metrics/trace_validate.h"
 
+#include <cstdio>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -145,6 +146,26 @@ TEST(TraceExportGoldenTest, RingWraparound) {
 {"name":"event_fire","ph":"i","pid":1,"tid":99,"ts":0.060,"cat":"sim","s":"t","args":{"pending":0}}
 ]}
 )golden");
+}
+
+// Each tracer warns about its own dropped events once, whatever other tracers
+// have exported before it.
+TEST(TraceExportTest, DropWarningIsPerTracer) {
+  const std::string path = testing::TempDir() + "drop_warning.trace.json";
+  Tracer a(4);
+  Tracer b(4);
+  BuildWrappedTracer(a);
+  BuildWrappedTracer(b);
+  auto warnings = [&](const Tracer& t) {
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(WriteChromeTraceFile(t, path, nullptr));
+    const std::string err = testing::internal::GetCapturedStderr();
+    return err.find("trace: WARNING: ring dropped") != std::string::npos;
+  };
+  EXPECT_TRUE(warnings(a));
+  EXPECT_FALSE(warnings(a));
+  EXPECT_TRUE(warnings(b));
+  std::remove(path.c_str());
 }
 
 TEST(TraceExportGoldenTest, Empty) {

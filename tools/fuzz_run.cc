@@ -60,15 +60,15 @@ using namespace vscale;
 // Non-aborting validity probe for scenarios arriving from files: capture the
 // first violation message instead of dying, so the tool can report it.
 bool ProbeLegal(const Scenario& s, std::string* why) {
-  const uint64_t before = InvariantViolationCount();
+  int reports = 0;
   std::string first;
   InvariantHandler prev =
-      SetInvariantHandler([&first](const InvariantViolation& v) {
-        if (first.empty()) first = v.message;
+      SetInvariantHandler([&reports, &first](const InvariantViolation& v) {
+        if (reports++ == 0) first = v.message;
       });
   s.Validate();
   SetInvariantHandler(std::move(prev));
-  if (InvariantViolationCount() != before) {
+  if (reports != 0) {
     *why = first;
     return false;
   }
@@ -351,7 +351,7 @@ int FairnessCanary(const std::vector<std::string>& paths) {
     }
 
     SetFairnessCanary(true);
-    const OracleReport stripped = RunOracle(s);
+    const OracleReport stripped = RunOracleOnce(s);
     SetFairnessCanary(false);
     if (stripped.verdict != OracleVerdict::kFairnessViolation) {
       std::fprintf(stderr,
