@@ -16,7 +16,7 @@ const char* ToString(TraceCategory c) {
   return "?";
 }
 
-Tracer::Tracer(size_t capacity) { ring_.resize(capacity > 0 ? capacity : 1); }
+Tracer::Tracer(size_t capacity) { SetCapacity(capacity); }
 
 Tracer& GlobalTracer() {
   static Tracer tracer;
@@ -40,7 +40,10 @@ void Tracer::Clear() {
 }
 
 void Tracer::SetCapacity(size_t capacity) {
-  ring_.assign(capacity > 0 ? capacity : 1, TraceEvent{});
+  // For-overwrite: no slot is written here, so the pages stay untouched until
+  // Record() fills them.
+  capacity_ = capacity > 0 ? capacity : 1;
+  ring_ = std::make_unique_for_overwrite<TraceEvent[]>(capacity_);
   Clear();
 }
 
@@ -69,10 +72,10 @@ void Tracer::Record(TimeNs ts, TraceCategory category, TracePhase phase,
   e.domain = static_cast<int16_t>(domain);
   e.vcpu = static_cast<int16_t>(vcpu);
   e.pcpu = static_cast<int16_t>(pcpu);
-  if (++head_ == ring_.size()) {
+  if (++head_ == capacity_) {
     head_ = 0;
   }
-  if (count_ < ring_.size()) {
+  if (count_ < capacity_) {
     ++count_;
   }
   ++recorded_;

@@ -11,7 +11,9 @@
 //    sites test that pointer before touching the tracer, so an unbound hook is
 //    a pointer read and one branch (the read's cost is spelled out in
 //    observers.h). Recording never allocates: event names are string literals
-//    and the ring is preallocated.
+//    and the ring is reserved up front but left unwritten, so its pages become
+//    resident only as events fill them; a tracer that never records costs
+//    virtual memory only.
 //  * Bounded memory. The ring overwrites the oldest events once full (`dropped()`
 //    counts the overwritten ones), so tracing a long run keeps the most recent window.
 //  * No behavioural impact. Recording reads simulation state but never mutates it and
@@ -31,15 +33,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/time.h"
 
 namespace vscale {
 
-// One bit per simulation layer, so exports and recordings can be filtered.
-enum class TraceCategory : uint32_t {
+// One bit per simulation layer, so exports and recordings can be filtered. One
+// byte wide so a TraceEvent packs into 40 bytes; masks stay uint32_t.
+enum class TraceCategory : uint8_t {
   kSim = 1u << 0,         // event-engine dispatch
   kHypervisor = 1u << 1,  // vCPU state transitions, credits, steals, preemptions
   kGuest = 1u << 2,       // IPIs, futex wait/wake, spinlocks, ticks, hotplug
@@ -57,21 +62,27 @@ enum class TracePhase : char {
   kCounter = 'C',  // a sampled numeric series (one track per name per domain)
 };
 
+// Trivially default-constructible on purpose: the ring is allocated without
+// initialization (see Tracer), and Record() writes every field.
 struct TraceEvent {
-  TimeNs ts = 0;                  // rebased simulated time (non-decreasing in buffer)
-  const char* name = nullptr;     // static string literal; never owned or freed
-  const char* arg_name = nullptr; // optional argument label (static literal), or null
-  int64_t arg = 0;                // argument / counter value
-  TraceCategory category = TraceCategory::kSim;
-  TracePhase phase = TracePhase::kInstant;
-  int16_t domain = -1;            // -1 = machine scope
-  int16_t vcpu = -1;              // domain-local vCPU id, -1 = n/a
-  int16_t pcpu = -1;              // -1 = n/a
+  TimeNs ts;                  // rebased simulated time (non-decreasing in buffer)
+  const char* name;           // static string literal; never owned or freed
+  const char* arg_name;       // optional argument label (static literal), or null
+  int64_t arg;                // argument / counter value
+  TraceCategory category;
+  TracePhase phase;
+  int16_t domain;             // -1 = machine scope
+  int16_t vcpu;               // domain-local vCPU id, -1 = n/a
+  int16_t pcpu;               // -1 = n/a
 };
+static_assert(std::is_trivially_default_constructible_v<TraceEvent>,
+              "a default member initializer would write every ring slot at allocation");
+static_assert(sizeof(TraceEvent) == 40, "TraceEvent is the ring's unit of memory");
 
 class Tracer {
  public:
-  static constexpr size_t kDefaultCapacity = 1u << 18;  // ~12 MB of events
+  // ~10 MB virtual; resident only as written.
+  static constexpr size_t kDefaultCapacity = 1u << 18;
 
   explicit Tracer(size_t capacity = kDefaultCapacity);
 
@@ -88,7 +99,7 @@ class Tracer {
   void Clear();
   // Re-sizes the ring; implies Clear().
   void SetCapacity(size_t capacity);
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
 
   // Records one event. Cheap: a branch, a ring slot write, no allocation. Events with
   // a filtered-out category are ignored. `ts` may restart from 0 (a fresh Machine);
@@ -135,7 +146,7 @@ class Tracer {
   // the ring in place (exporters stream from here without copying the buffer).
   template <typename Fn>
   void ForEachRetained(Fn&& fn) const {
-    const size_t cap = ring_.size();
+    const size_t cap = capacity_;
     const size_t start = (head_ + cap - count_) % cap;
     const size_t tail = count_ < cap - start ? count_ : cap - start;
     for (size_t i = start; i < start + tail; ++i) fn(ring_[i]);
@@ -151,7 +162,10 @@ class Tracer {
   const std::map<int, std::string>& domain_names() const { return domain_names_; }
 
  private:
-  std::vector<TraceEvent> ring_;
+  // Allocated without initialization; only the retained slots are ever read,
+  // and Record() wrote each of them.
+  std::unique_ptr<TraceEvent[]> ring_;
+  size_t capacity_ = 0;
   size_t head_ = 0;       // next slot to write
   size_t count_ = 0;      // retained events
   uint64_t recorded_ = 0;
@@ -164,8 +178,9 @@ class Tracer {
 };
 
 // The process-wide tracer harnesses bind to the simulations they trace
-// (Testbed binds it when it is enabled at construction). The simulation is
-// single-threaded, so no synchronization is needed.
+// (Testbed binds it when it is enabled at construction). Touching it costs no
+// resident memory until it records. The simulation is single-threaded, so no
+// synchronization is needed.
 Tracer& GlobalTracer();
 
 }  // namespace vscale

@@ -1,12 +1,20 @@
 // Unit tests for the flight recorder core (src/base/trace.h) and the metrics
 // registry (src/base/metrics_registry.h): ring wraparound (copying and in-place
-// visits agree), category filtering,
-// timestamp rebasing, the null-observer no-op guarantee, and gauge freezing.
+// visits agree), the empty ring, category filtering, timestamp rebasing, the
+// null-observer no-op guarantee, the ring's resident cost before it records,
+// and gauge freezing.
 
 #include "src/base/metrics_registry.h"
 #include "src/base/trace.h"
+#include "src/metrics/trace_export.h"
+#include "src/metrics/trace_validate.h"
 #include "src/sim/event_queue.h"
+#include "src/workloads/testbed.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -53,26 +61,65 @@ TEST(TracerTest, RingWraparoundKeepsNewestEvents) {
 }
 
 TEST(TracerTest, SnapshotMatchesForEachRetainedAcrossWraparound) {
-  // Record counts that leave the ring part-filled, exactly full, and wrapped
-  // with the write head just past and mid ring.
-  for (const int records : {5, 8, 9, 13}) {
-    Tracer t(8);
-    t.Enable();
-    for (int i = 0; i < records; ++i) {
-      t.Record(i, TraceCategory::kSim, TracePhase::kInstant, "e", -1, -1, -1,
-               "i", i);
-    }
-    std::vector<int64_t> visited;
-    t.ForEachRetained([&](const TraceEvent& e) { visited.push_back(e.arg); });
-    std::vector<int64_t> copied;
-    for (const TraceEvent& e : t.Snapshot()) copied.push_back(e.arg);
-    EXPECT_EQ(visited, copied) << records << " records";
-    ASSERT_EQ(visited.size(), t.size());
-    for (size_t k = 0; k < visited.size(); ++k) {
-      EXPECT_EQ(visited[k], records - static_cast<int>(t.size()) +
-                                static_cast<int>(k));
+  // Per capacity, record counts that leave the ring empty, part-filled,
+  // exactly full, and wrapped with the write head just past and mid ring.
+  for (const int cap : {1, 4, 8}) {
+    for (const int records : {0, cap / 2 + 1, cap, cap + 1, cap + cap / 2 + 1}) {
+      Tracer t(static_cast<size_t>(cap));
+      t.Enable();
+      for (int i = 0; i < records; ++i) {
+        t.Record(i, TraceCategory::kSim, TracePhase::kInstant, "e", -1, -1, -1,
+                 "i", i);
+      }
+      std::vector<int64_t> visited;
+      t.ForEachRetained([&](const TraceEvent& e) { visited.push_back(e.arg); });
+      std::vector<int64_t> copied;
+      for (const TraceEvent& e : t.Snapshot()) copied.push_back(e.arg);
+      EXPECT_EQ(visited, copied) << "capacity " << cap << ", " << records << " records";
+      ASSERT_EQ(visited.size(), t.size());
+      ASSERT_EQ(t.size(), static_cast<size_t>(std::min(records, cap)));
+      // Oldest-first: the newest size() events in recording order.
+      for (size_t k = 0; k < visited.size(); ++k) {
+        EXPECT_EQ(visited[k], records - static_cast<int>(t.size()) +
+                                  static_cast<int>(k));
+      }
     }
   }
+}
+
+// A ring with nothing retained visits nothing and exports a valid empty trace,
+// whether it was never written, cleared, or re-sized after being written (the
+// unwritten slots of a re-allocated ring are never read).
+TEST(TracerTest, EmptyRingVisitsNothingAndExportsValidTrace) {
+  auto expect_empty = [](const Tracer& t, const char* what) {
+    int visits = 0;
+    t.ForEachRetained([&](const TraceEvent&) { ++visits; });
+    EXPECT_EQ(visits, 0) << what;
+    EXPECT_TRUE(t.Snapshot().empty()) << what;
+    std::ostringstream os;
+    WriteChromeTrace(t, os);
+    std::string error;
+    TraceStats stats;
+    EXPECT_TRUE(ValidateChromeTrace(os.str(), &error, &stats)) << what << ": " << error;
+    EXPECT_EQ(stats.events, 0u) << what;
+  };
+  auto record_some = [](Tracer& t) {
+    t.Enable();
+    for (int i = 0; i < 6; ++i) {
+      t.Record(i, TraceCategory::kSim, TracePhase::kInstant, "e", -1, -1, -1,
+               nullptr, 0);
+    }
+  };
+  Tracer fresh(4);
+  expect_empty(fresh, "fresh");
+  Tracer cleared(4);
+  record_some(cleared);
+  cleared.Clear();
+  expect_empty(cleared, "after Clear()");
+  Tracer resized(4);
+  record_some(resized);
+  resized.SetCapacity(16);
+  expect_empty(resized, "after SetCapacity()");
 }
 
 TEST(TracerTest, CategoryFiltering) {
@@ -184,6 +231,35 @@ TEST(TracerTest, SetCapacityClears) {
   t.SetCapacity(32);
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.capacity(), 32u);
+}
+
+// Resident pages of this process, from /proc/self/statm's second field; -1
+// where that file does not exist.
+long ResidentPages() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0;
+  long resident = -1;
+  if (!(statm >> size >> resident)) return -1;
+  return resident;
+}
+
+// The ring is allocated but not written until events arrive, so a tracer
+// that never records, and the process-wide one a default Testbed touches,
+// cost address space rather than resident memory. The bound (a quarter of the
+// ring's bytes) leaves room for a sanitizer's shadow of the allocation.
+TEST(TracerTest, UnwrittenRingIsNotResident) {
+  const long before = ResidentPages();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/statm";
+  constexpr size_t kEvents = 1u << 20;
+  GlobalTracer().Disable();
+  {
+    Tracer t(kEvents);
+    Testbed bed(TestbedConfig{});
+    ASSERT_EQ(t.capacity(), kEvents);
+    const long grown_bytes = (ResidentPages() - before) * sysconf(_SC_PAGESIZE);
+    EXPECT_LT(grown_bytes, static_cast<long>(kEvents * sizeof(TraceEvent) / 4))
+        << "resident growth " << grown_bytes << " bytes";
+  }
 }
 
 TEST(TracerTest, DomainNames) {
